@@ -40,10 +40,11 @@ set), and ``--trace-json PATH`` dumps the engine's instrumentation
 ``--fastpath-topk K`` turns on the analytical fast path (screen the
 TLP sweep statically, simulate only the top-K survivors plus a bracket
 walk; ``--no-refine`` skips the walk); the default keeps the exact
-exhaustive pipeline.  Multi-point sweeps route through the batched SoA
-simulation core by default — bit-identical to the scalar simulator,
-roughly 2.8x faster on profile sweeps; ``--no-batch`` forces the
-point-by-point supervised path.
+exhaustive pipeline.  Every simulated point runs on the batched SoA
+simulation core under the supervisor (timeouts, retries, fault
+injection): points that share traces pack once as one group, and a lone
+point is a group of one.  The scalar simulator is kept as the oracle
+that ``bench --batchsim`` and the differential gates check it against.
 
 ``--passes P1,P2,...`` (on ``simulate``/``crat``/``suite``/``serve``/
 ``submit``) runs a pre-allocation optimization pipeline over the kernel
@@ -102,7 +103,6 @@ def _engine_for(args):
         fastpath_topk=topk,
         fastpath_refine=False if no_refine else None,
         task_timeout=getattr(args, "task_timeout", None),
-        batch=getattr(args, "batch", None),
         # Fold the active --passes pipeline into the engine's cache
         # keys (validated here, so a typo exits 2 before any work).
         passes=getattr(args, "passes", None),
@@ -660,7 +660,6 @@ def cmd_serve(args) -> int:
         task_timeout=args.task_timeout,
         cache_max_entries=bound,
         passes=args.passes,
-        batch=args.batch,
         costmodel=getattr(args, "costmodel", None),
         telemetry_dir=getattr(args, "telemetry_dir", None),
     )
@@ -952,13 +951,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="wall-clock budget per simulation task before "
                             "the supervisor abandons and retries it "
                             "(0 disables; default: $REPRO_TASK_TIMEOUT)")
-        p.add_argument("--batch", action=argparse.BooleanOptionalAction,
-                       default=None,
-                       help="evaluate multi-point sweeps through the "
-                            "batched SoA simulation core (bit-identical "
-                            "to the scalar simulator; default: on — "
-                            "--no-batch forces point-by-point supervised "
-                            "simulation)")
         if trace:
             p.add_argument("--trace-json", default="",
                            help="dump engine instrumentation (timings, "

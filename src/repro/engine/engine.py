@@ -14,9 +14,14 @@ design points many times over.
   fingerprint, config, grid_blocks, param_sizes, tlp, scheduler)``;
   traces by the same key minus the TLP/scheduler.  An optional on-disk
   store (``REPRO_CACHE_DIR``) persists results across processes.
-* **Parallel fan-out** — :meth:`simulate_many` runs independent design
-  points on a process pool (``REPRO_JOBS`` / ``--jobs``), bit-identical
-  to the serial path because the simulator is deterministic.
+* **One simulator core** — every uncached point runs on the batched
+  core (:mod:`repro.sim.batch`) under the supervisor
+  (:mod:`repro.engine.parallel`): points that share traces, config and
+  scheduler pack once as one group, a lone point is a group of one,
+  and groups fan out over a process pool (``REPRO_JOBS`` / ``--jobs``),
+  bit-identical to the serial path because the simulator is
+  deterministic.  The scalar :class:`~repro.sim.sm.SMSimulator` is the
+  oracle the batched core is tested against, not a production route.
 * **Instrumentation** — every trace generation, simulation, batch and
   named pipeline stage is recorded as a typed event with timings and
   hit/miss counters (:mod:`repro.engine.events`), dumpable as JSON.
@@ -40,15 +45,16 @@ from ..arch.config import GPUConfig
 from ..errors import ReproError, classify_error
 from ..ir.pipeline import pipeline_signature
 from ..ptx.module import Kernel
-from ..sim.batch import simulate_traces_batched
+# The supervisor's group runner looks the batched core up here, per
+# call, so wrapping this one name instruments every production
+# simulation.
+from ..sim.batch import simulate_traces_batched  # noqa: F401
 from ..sim.executor import BlockTrace
-from ..sim.gpu import simulate_traces, trace_grid
+from ..sim.gpu import trace_grid
 from ..sim.stats import SimResult
-from . import faults
 from .cache import SimKey, SimResultCache, config_signature, key_digest, make_sim_key
 from .events import (
     BatchEvent,
-    BatchSimEvent,
     CacheCorruptEvent,
     CheckpointEvent,
     CostModelEvent,
@@ -67,13 +73,7 @@ from .fastpath import (
     estimate_sim_result,
     rank_agreement,
 )
-from .parallel import (
-    SupervisorPolicy,
-    TaskOutcome,
-    resolve_jobs,
-    run_simulations,
-    run_supervised,
-)
+from .parallel import SupervisorPolicy, resolve_jobs, run_supervised
 
 #: Environment variable naming the checkpoint journal directory.
 CHECKPOINT_DIR_ENV = "REPRO_CHECKPOINT_DIR"
@@ -115,17 +115,10 @@ class EvaluationEngine:
         checkpoint_dir: Optional[str] = None,
         cache_max_entries: Optional[int] = None,
         pipeline: str = "",
-        batch: bool = True,
         costmodel: Optional[object] = None,
         telemetry_dir: Optional[str] = None,
     ):
         self.jobs = resolve_jobs(jobs)
-        #: Route multi-point groups through the batched SoA core
-        #: (:class:`repro.sim.batch.BatchedSimulator`) by default.
-        #: Bit-identical to the scalar path; ``--no-batch`` turns it
-        #: off, and an active fault-injection plan disables it for the
-        #: affected run (faults are exercised by the supervised pool).
-        self.batch = batch
         #: The active ``--passes`` signature; folded into every cache
         #: key so results simulated under different pipelines never
         #: alias (see :func:`repro.engine.cache.make_sim_key`).
@@ -257,10 +250,16 @@ class EvaluationEngine:
     # Instrumentation plumbing.
     # ------------------------------------------------------------------
     def _emit(self, event: EngineEvent) -> None:
-        if getattr(event, "kind", "") == "fault":
+        kind = getattr(event, "kind", "")
+        if kind == "fault":
             self.stats.faults_injected += 1
+        elif kind == "batchsim":
+            self.stats.batched_groups += 1
+            self.stats.batched_points += event.points
         if len(self.events) < self._max_events:
             self.events.append(event)
+        else:
+            self.stats.events_dropped += 1
 
     def record_stage(self, name: str, seconds: float) -> None:
         """Account a pipeline stage that the caller timed itself."""
@@ -358,75 +357,8 @@ class EvaluationEngine:
                 raise outcome
         return outcomes  # type: ignore[return-value]
 
-    def evaluate_batch(self, requests: Sequence[SimRequest]) -> List[SimResult]:
-        """Evaluate a multi-point sweep through the batched SoA core.
-
-        Identical results to :meth:`simulate_many` (the batched core is
-        bit-identical to the scalar simulator and any group it cannot
-        take falls back to the supervised path), but the batched route
-        is forced even when the engine default (:attr:`batch`) is off.
-        Strict like :meth:`simulate_many`: the first failed point
-        raises its classified error.
-        """
-        outcomes = self.simulate_outcomes(requests, batch=True)
-        for outcome in outcomes:
-            if isinstance(outcome, ReproError):
-                raise outcome
-        return outcomes  # type: ignore[return-value]
-
-    def _run_batched(
-        self,
-        tasks: List[Tuple[List[BlockTrace], GPUConfig, int, str]],
-        outcomes: List[Optional[TaskOutcome]],
-    ) -> List[int]:
-        """Evaluate batchable groups of ``tasks`` with the SoA core.
-
-        Groups share (traces, config, scheduler) and differ only in
-        TLP — the shape of a profile sweep.  Fills ``outcomes`` for
-        every position it evaluated and returns the positions it left
-        for the supervised pool: singleton groups (packing amortizes
-        nothing) and any group whose batched run raised (the supervised
-        path retries those with its usual budget).
-        """
-        groups: Dict[Tuple[int, str, str], List[int]] = {}
-        for pos, (traces, config, _, scheduler) in enumerate(tasks):
-            key = (id(traces), scheduler, config_signature(config))
-            groups.setdefault(key, []).append(pos)
-        leftover: List[int] = []
-        for positions in groups.values():
-            if len(positions) < 2:
-                leftover.extend(positions)
-                continue
-            traces, config, _, scheduler = tasks[positions[0]]
-            tlps = [tasks[p][2] for p in positions]
-            t0 = time.perf_counter()
-            try:
-                results = simulate_traces_batched(
-                    traces, config, tlps, scheduler=scheduler
-                )
-            except Exception:
-                # Whatever went wrong, the supervised scalar path is
-                # the retry rung — it owns the failure from here.
-                leftover.extend(positions)
-                continue
-            for p, result in zip(positions, results):
-                outcomes[p] = TaskOutcome(result=result, attempts=1)
-            self.stats.batched_groups += 1
-            self.stats.batched_points += len(positions)
-            self._emit(
-                BatchSimEvent(
-                    points=len(positions),
-                    scheduler=scheduler,
-                    seconds=time.perf_counter() - t0,
-                )
-            )
-        leftover.sort()
-        return leftover
-
     def simulate_outcomes(
-        self,
-        requests: Sequence[SimRequest],
-        batch: Optional[bool] = None,
+        self, requests: Sequence[SimRequest]
     ) -> List[Union[SimResult, ReproError]]:
         """Evaluate a batch, reporting per-point failures in-band.
 
@@ -436,13 +368,11 @@ class EvaluationEngine:
         are cached (and journaled to the checkpoint store when one is
         configured); failed points are not.
 
-        ``batch`` overrides the engine's :attr:`batch` default for this
-        call.  When batching applies, groups of two or more points that
-        share traces, config and scheduler run in-process through the
-        bit-identical SoA core (exempt from per-task timeouts, like the
-        serial path); everything else — including every point of a run
-        with an active fault-injection plan, which must exercise the
-        supervised machinery — goes to the supervised pool.
+        Uncached points go to :func:`~repro.engine.parallel.
+        run_supervised` in one call; it groups the points that share
+        traces, config and scheduler, so each group packs once and runs
+        on the batched core under the supervisor's timeouts, retries and
+        fault injection.
         """
         t0 = time.perf_counter()
         results: List[Optional[Union[SimResult, ReproError]]] = (
@@ -524,21 +454,10 @@ class EvaluationEngine:
                 tokens.append(key_digest(keys[i]))
             pending = [i for i in pending if results[i] is None]
             t_run = time.perf_counter()
-            use_batch = self.batch if batch is None else batch
-            outcomes: List[Optional[TaskOutcome]] = [None] * len(tasks)
-            remaining = list(range(len(tasks)))
-            if use_batch and len(tasks) > 1 and faults.active_plan() is None:
-                remaining = self._run_batched(tasks, outcomes)
-            if remaining:
-                supervised = run_supervised(
-                    [tasks[p] for p in remaining],
-                    self.jobs,
-                    policy=self.supervisor,
-                    tokens=[tokens[p] for p in remaining],
-                    emit=self._emit,
-                )
-                for p, outcome in zip(remaining, supervised):
-                    outcomes[p] = outcome
+            outcomes = run_supervised(
+                tasks, self.jobs, policy=self.supervisor, tokens=tokens,
+                emit=self._emit,
+            )
             run_seconds = time.perf_counter() - t_run
             per_point = run_seconds / len(pending) if pending else 0.0
             for i, outcome in zip(pending, outcomes):
@@ -801,36 +720,17 @@ class EvaluationEngine:
         tlps: Iterable[int],
         scheduler: str = "gto",
     ) -> List[SimResult]:
-        """Parallel fan-out over pre-computed traces (uncached: without
-        the originating kernel there is no content key).  Multi-point
-        calls take the batched SoA core when the engine default allows
-        it, falling back to the supervised pool on any batched-core
-        failure."""
+        """Supervised fan-out over pre-computed traces (uncached: without
+        the originating kernel there is no content key).  Strict: the
+        first point that still fails after the retry budget raises."""
         tasks = [(traces, config, tlp, scheduler) for tlp in tlps]
         t0 = time.perf_counter()
-        outcomes: Optional[List[SimResult]] = None
-        if self.batch and len(tasks) > 1 and faults.active_plan() is None:
-            try:
-                outcomes = simulate_traces_batched(
-                    traces, config, [t[2] for t in tasks],
-                    scheduler=scheduler,
-                )
-            except Exception:
-                outcomes = None
-            if outcomes is not None:
-                self.stats.batched_groups += 1
-                self.stats.batched_points += len(tasks)
-                self._emit(
-                    BatchSimEvent(
-                        points=len(tasks),
-                        scheduler=scheduler,
-                        seconds=time.perf_counter() - t0,
-                    )
-                )
-        if outcomes is None:
-            outcomes = run_simulations(
-                tasks, self.jobs, policy=self.supervisor, emit=self._emit
-            )
+        outcomes = run_supervised(
+            tasks, self.jobs, policy=self.supervisor, emit=self._emit
+        )
+        for outcome in outcomes:
+            if outcome.error is not None:
+                raise outcome.error
         seconds = time.perf_counter() - t0
         self.stats.sim_misses += len(tasks)
         self.stats.sim_seconds += seconds
@@ -844,7 +744,7 @@ class EvaluationEngine:
                     seconds=seconds,
                 )
             )
-        return outcomes
+        return [outcome.result for outcome in outcomes]
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle.
@@ -853,7 +753,6 @@ class EvaluationEngine:
         """JSON-ready view of counters, timings and the event log."""
         return {
             "jobs": self.jobs,
-            "batch": self.batch,
             "pipeline": self.pipeline,
             "cached_results": len(self._sim_cache),
             "cached_traces": len(self._trace_cache),
@@ -921,7 +820,6 @@ def configure(
     checkpoint_dir: Optional[str] = None,
     cache_max_entries: Optional[int] = None,
     passes: Optional[str] = None,
-    batch: Optional[bool] = None,
     costmodel: Optional[str] = None,
     telemetry_dir: Optional[str] = None,
 ) -> EvaluationEngine:
@@ -943,8 +841,6 @@ def configure(
         engine = get_engine()
         if jobs is not None:
             engine.jobs = resolve_jobs(jobs)
-        if batch is not None:
-            engine.batch = batch
         if disk_cache is not None:
             engine._sim_cache.disk_dir = disk_cache
         if fastpath_topk is not None:

@@ -58,11 +58,12 @@ class BatchEvent:
 
 @dataclasses.dataclass(frozen=True)
 class BatchSimEvent:
-    """One group of design points evaluated by the batched SoA core
-    (:class:`repro.sim.batch.BatchedSimulator`) instead of point-by-
-    point supervised simulation.  ``points`` is the lane count of the
-    group (one lane per TLP); results are bit-identical to the scalar
-    path, so this event is a performance trace, not a semantic one.
+    """One supervised group of design points that completed on the
+    batched core (:class:`repro.sim.batch.BatchedSimulator`), the only
+    production simulator.  ``points`` is the lane count of the group
+    (one lane per TLP; 1 for a singleton); the engine adds each event to
+    ``batched_groups`` / ``batched_points``.  ``seconds`` is the group's
+    pack-and-run time as measured where it ran.
     """
 
     kind: ClassVar[str] = "batchsim"
@@ -297,6 +298,8 @@ class EngineStats:
     sim_failures: int = 0
     cache_corrupt: int = 0
     checkpoint_hits: int = 0
+    #: Events not kept because the log reached ``max_events``.
+    events_dropped: int = 0
     sim_seconds: float = 0.0
     trace_seconds: float = 0.0
     stage_seconds: Dict[str, float] = dataclasses.field(default_factory=dict)
@@ -359,4 +362,6 @@ class EngineStats:
             line += f", {self.cache_corrupt} corrupt cache entries dropped"
         if self.checkpoint_hits:
             line += f", {self.checkpoint_hits} points resumed from checkpoint"
+        if self.events_dropped:
+            line += f", {self.events_dropped} events dropped"
         return line

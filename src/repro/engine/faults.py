@@ -5,18 +5,23 @@ engine's workers and cache I/O are perturbed with those probabilities::
 
     REPRO_FAULTS=crash:0.1,hang:0.05,corrupt-cache:0.1 repro suite
 
-Four fault kinds exist:
+The plan perturbs the default execution path: every simulated point
+runs on the batched core inside a supervised group
+(:mod:`repro.engine.parallel`), and every member of a group draws its
+own decisions by its own token before the group runs.  Four fault kinds
+exist:
 
 ``crash``
     A pool worker raises :class:`InjectedFault` before simulating —
     the supervisor sees a crashed task and must retry it.  Transient:
     only injected into pool workers, and the decision token includes
     the attempt number, so a retried task eventually runs clean (and
-    the supervisor's final in-process attempt always does).
+    the supervisor's final in-process attempt always does).  A crash
+    drawn by one member fails and retries its whole group.
 ``hang``
     A pool worker sleeps :data:`REPRO_FAULT_HANG_SECONDS` before
     working — long enough to trip ``REPRO_TASK_TIMEOUT``.  Transient,
-    pool-only, like ``crash``.
+    pool-only and group-wide, like ``crash``.
 ``corrupt-cache``
     Bytes written to the persistent result store are truncated and
     garbled, exercising the checksum-verification read path.  Applied
@@ -24,7 +29,9 @@ Four fault kinds exist:
 ``fail``
     The task raises on *every* attempt, pool or in-process — a
     permanent failure that forces the engine's degradation ladder
-    (analytical fast-path estimate instead of a simulated point).
+    (analytical fast-path estimate instead of a simulated point).  The
+    supervisor splits the failed group into groups of one, so only the
+    failing point degrades; its group-mates still simulate.
 
 Three further kinds target the *service tier* (they are consulted only
 by engine-shard server processes — plain ``repro`` runs and the
@@ -45,8 +52,8 @@ single-process daemon never check them):
 Decisions are **deterministic**: each is a pure function of the seed
 (``REPRO_FAULTS_SEED``, default 0), the fault kind, and a stable token
 (the design point's cache-key digest plus, for transient kinds, the
-attempt number).  Execution order — pool scheduling, batch splits,
-retries of other tasks — cannot change which points fault, so a faulty
+attempt number).  Execution order — pool scheduling, group splits,
+retries of other tasks — cannot change which points draw a fault, so a faulty
 run is reproducible and comparable point-by-point against a clean one.
 """
 

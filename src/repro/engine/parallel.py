@@ -1,34 +1,35 @@
-"""Supervised process-pool fan-out for independent simulation points.
+"""Supervised process-pool execution of simulation groups.
 
 Design-space sweeps (TLP profiling, candidate evaluation) simulate many
-independent points over the same traces — embarrassingly parallel work.
-:func:`run_supervised` executes a batch under a **supervisor** instead
-of a bare ``pool.map``:
+independent points over the same traces.  :func:`run_supervised`
+partitions a batch into **groups** — points that share (traces,
+config, scheduler) and differ only in TLP — and runs each group as one
+task on the batched core (:mod:`repro.sim.batch`), which packs the
+traces once for all of its lanes; a lone point is a group of one.  The
+groups run under a **supervisor** instead of a bare ``pool.map``:
 
 * tasks are submitted individually, so one crashed or hung worker
-  fails only its own task, not the whole batch;
+  fails only its own group, not the whole batch;
 * each task gets a per-attempt wall-clock timeout
   (``REPRO_TASK_TIMEOUT`` / ``--task-timeout``; pool mode only — an
   in-process task cannot be interrupted portably);
-* crashed and timed-out tasks are retried with backoff, up to
+* crashed and timed-out groups are retried with backoff, up to
   ``REPRO_TASK_RETRIES`` extra attempts; the **final attempt always
   runs serially in-process**, so a poisoned pool can never lose work
   the interpreter itself could do;
-* a ``BrokenProcessPool`` fails only the tasks that were in flight —
+* a ``BrokenProcessPool`` fails only the groups that were in flight —
   finished results are kept, the pool is rebuilt for the retry round;
 * deterministic Python exceptions (e.g. a divergence trap in the
   functional simulator) are *not* retried: re-running a deterministic
-  failure is wasted work, the error is reported immediately.
+  failure is wasted work.  A multi-point group that fails that way is
+  split into groups of one, so the failure is pinned on its own point.
 
-Everything observable — injected faults, retries, timeouts — is
-reported through the ``emit`` hook as typed events
-(:class:`~repro.engine.events.FaultEvent` /
+Everything observable — completed groups, injected faults, retries,
+timeouts — is reported through the ``emit`` hook as typed events
+(:class:`~repro.engine.events.BatchSimEvent` /
+:class:`~repro.engine.events.FaultEvent` /
 :class:`~repro.engine.events.RetryEvent`), which the engine routes into
-its ``--trace-json`` channel.
-
-:func:`run_simulations` keeps the historical strict interface (results
-in input order, first failure raised); the engine uses
-:func:`run_supervised` directly to degrade failed points gracefully.
+its counters and its ``--trace-json`` channel.
 
 The worker count comes from the ``REPRO_JOBS`` environment variable or
 the CLI's ``--jobs`` flag.  If a pool cannot be created (restricted
@@ -41,14 +42,15 @@ import dataclasses
 import os
 import sys
 import time
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..arch.config import GPUConfig
 from ..errors import TaskTimeoutError
 from ..sim.executor import BlockTrace
 from ..sim.stats import SimResult
 from . import faults
-from .events import EngineEvent, FaultEvent, RetryEvent
+from .cache import config_signature
+from .events import BatchSimEvent, EngineEvent, FaultEvent, RetryEvent
 
 #: Environment variable setting the default worker count.
 JOBS_ENV = "REPRO_JOBS"
@@ -57,7 +59,15 @@ JOBS_ENV = "REPRO_JOBS"
 TASK_TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
 TASK_RETRIES_ENV = "REPRO_TASK_RETRIES"
 
+#: One design point: (traces, config, tlp, scheduler).
 SimTask = Tuple[List[BlockTrace], GPUConfig, int, str]
+
+#: Positions (into a task list) of the points one group runs.
+Group = List[int]
+
+#: What a group task ships to its worker: (traces, config, tlps,
+#: scheduler).
+GroupTask = Tuple[List[BlockTrace], GPUConfig, List[int], str]
 
 EmitFn = Callable[[EngineEvent], None]
 
@@ -135,31 +145,70 @@ class SupervisorPolicy:
 
 @dataclasses.dataclass
 class TaskOutcome:
-    """Terminal state of one supervised task."""
+    """Terminal state of one design point of a supervised batch.
+
+    ``timed_out`` records whether any attempt of the point's group hit
+    the per-task timeout, including attempts that were retried.
+    """
 
     result: Optional[SimResult] = None
     error: Optional[BaseException] = None
     attempts: int = 0
     timed_out: bool = False
-    retried: bool = False
 
     @property
     def ok(self) -> bool:
         return self.error is None and self.result is not None
 
 
-def _simulate_task(task: SimTask) -> SimResult:
-    traces, config, tlp, scheduler = task
-    from ..sim.gpu import simulate_traces
+def _group_tasks(tasks: Sequence[SimTask], jobs: int) -> List[Group]:
+    """Partition task positions into packed-core groups.
 
-    return simulate_traces(traces, config, tlp, scheduler=scheduler)
+    Points that share (traces, config, scheduler) differ only in TLP,
+    so they pack once and run as the lanes of one batch; a lone point
+    is a group of one.  With ``jobs > 1`` each group is striped into at
+    most ``jobs`` sub-groups so the pool keeps its parallelism — lanes
+    run on independent clocks, so a split never changes a result.
+    """
+    by_key: Dict[Tuple[int, str, str], Group] = {}
+    for pos, (traces, config, _, scheduler) in enumerate(tasks):
+        key = (id(traces), config_signature(config), scheduler)
+        by_key.setdefault(key, []).append(pos)
+    groups: List[Group] = []
+    for positions in by_key.values():
+        parts = min(jobs, len(positions))
+        groups.extend(positions[k::parts] for k in range(parts))
+    return groups
 
 
-def _supervised_task(payload: Tuple[SimTask, str, int]) -> SimResult:
-    """Pool-worker entry: fault injection point, then the simulation."""
-    task, token, attempt = payload
-    faults.perturb_task(token, attempt, in_pool=True)
-    return _simulate_task(task)
+def _group_payload(tasks: Sequence[SimTask], group: Group) -> GroupTask:
+    traces, config, _, scheduler = tasks[group[0]]
+    return traces, config, [tasks[i][2] for i in group], scheduler
+
+
+def _simulate_group(task: GroupTask) -> Tuple[List[SimResult], float]:
+    """Pack the group once and run its lanes on the batched core."""
+    # Looked up on the engine module per call, so a wrapper installed on
+    # ``repro.engine.engine.simulate_traces_batched`` sees every
+    # production simulation.
+    from . import engine
+
+    traces, config, tlps, scheduler = task
+    t0 = time.perf_counter()
+    results = engine.simulate_traces_batched(
+        traces, config, tlps, scheduler=scheduler
+    )
+    return results, time.perf_counter() - t0
+
+
+def _supervised_task(
+    payload: Tuple[GroupTask, List[str], int],
+) -> Tuple[List[SimResult], float]:
+    """Pool-worker entry: every member's fault draw, then the group."""
+    task, tokens, attempt = payload
+    for token in tokens:
+        faults.perturb_task(token, attempt, in_pool=True)
+    return _simulate_group(task)
 
 
 def _retryable(error: BaseException) -> bool:
@@ -184,8 +233,8 @@ def _retryable(error: BaseException) -> bool:
     return isinstance(error, OSError)
 
 
-def _fail_reason(error: BaseException, timed_out: bool) -> str:
-    if timed_out:
+def _fail_reason(error: BaseException) -> str:
+    if isinstance(error, TaskTimeoutError):
         return "timeout"
     if isinstance(error, faults.InjectedFault):
         return error.fault_kind
@@ -210,16 +259,66 @@ def _record_fault(error: BaseException, emit: Optional[EmitFn]) -> None:
         )
 
 
+def _settle(
+    outcomes: List[TaskOutcome],
+    group: Group,
+    attempt: int,
+    results: Optional[List[SimResult]] = None,
+    error: Optional[BaseException] = None,
+    timed_out: bool = False,
+) -> None:
+    """Record one group attempt on every member's outcome."""
+    for n, i in enumerate(group):
+        out = outcomes[i]
+        out.attempts = attempt
+        out.timed_out = out.timed_out or timed_out
+        out.error = error
+        out.result = None if results is None else results[n]
+
+
+def _batch_event(tasks: Sequence[SimTask], group: Group,
+                 seconds: float) -> BatchSimEvent:
+    return BatchSimEvent(
+        points=len(group), scheduler=tasks[group[0]][3], seconds=seconds
+    )
+
+
+def _serial_round(
+    tasks: Sequence[SimTask],
+    groups: List[Group],
+    tokens: Sequence[str],
+    outcomes: List[TaskOutcome],
+    attempt: int,
+    emit: Optional[EmitFn],
+) -> List[Group]:
+    """One in-process attempt over ``groups``; returns the failed ones."""
+    failed: List[Group] = []
+    for group in groups:
+        try:
+            for i in group:
+                faults.perturb_task(tokens[i], attempt, in_pool=False)
+            results, seconds = _simulate_group(_group_payload(tasks, group))
+        except Exception as err:
+            _settle(outcomes, group, attempt, error=err)
+            failed.append(group)
+            continue
+        _settle(outcomes, group, attempt, results=results)
+        if emit:
+            emit(_batch_event(tasks, group, seconds))
+    return failed
+
+
 def _pool_round(
     tasks: Sequence[SimTask],
-    pending: List[int],
+    groups: List[Group],
     tokens: Sequence[str],
     outcomes: List[TaskOutcome],
     jobs: int,
     attempt: int,
     timeout: Optional[float],
-) -> Tuple[List[int], bool]:
-    """One pool attempt over ``pending``; returns (still_failed, pool_ok).
+    emit: Optional[EmitFn],
+) -> Tuple[List[Group], bool]:
+    """One pool attempt over ``groups``; returns (still_failed, pool_ok).
 
     ``pool_ok=False`` means the pool could not even be created (no
     fork in this sandbox) and the caller should go serial for good.
@@ -230,48 +329,46 @@ def _pool_round(
     try:
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(groups)))
     except (OSError, ImportError, PermissionError):
-        return list(pending), False
+        return list(groups), False
 
-    futures = {}
+    futures = []
     try:
-        for i in pending:
-            futures[i] = pool.submit(
-                _supervised_task, (tasks[i], tokens[i], attempt)
-            )
+        for group in groups:
+            futures.append(pool.submit(
+                _supervised_task,
+                (_group_payload(tasks, group), [tokens[i] for i in group],
+                 attempt),
+            ))
     except BrokenProcessPool:
         # The pool died during submission; everything retries.
         pool.shutdown(wait=False)
-        for i in pending:
-            out = outcomes[i]
-            out.attempts = attempt
-            out.error = BrokenProcessPool("pool broke during submission")
-        return list(pending), True
+        error = BrokenProcessPool("pool broke during submission")
+        for group in groups:
+            _settle(outcomes, group, attempt, error=error)
+        return list(groups), True
 
-    failed: List[int] = []
+    failed: List[Group] = []
     abandoned = False
-    for i in pending:
-        out = outcomes[i]
-        out.attempts = attempt
-        out.timed_out = False
+    for group, future in zip(groups, futures):
         try:
-            out.result = futures[i].result(timeout=timeout)
-            out.error = None
+            results, seconds = future.result(timeout=timeout)
         except FuturesTimeout:
-            futures[i].cancel()
-            out.error = TaskTimeoutError(
-                f"simulation task exceeded {timeout:.3g}s wall clock"
-            )
-            out.timed_out = True
-            failed.append(i)
+            future.cancel()
+            _settle(outcomes, group, attempt, timed_out=True,
+                    error=TaskTimeoutError(
+                        f"simulation task exceeded {timeout:.3g}s wall clock"
+                    ))
+            failed.append(group)
             abandoned = True  # a hung worker may still hold the slot
-        except BrokenProcessPool as err:
-            out.error = err
-            failed.append(i)
-        except BaseException as err:  # worker exception (incl. injected)
-            out.error = err
-            failed.append(i)
+        except Exception as err:  # worker exception (incl. injected)
+            _settle(outcomes, group, attempt, error=err)
+            failed.append(group)
+        else:
+            _settle(outcomes, group, attempt, results=results)
+            if emit:
+                emit(_batch_event(tasks, group, seconds))
     # A timed-out worker cannot be interrupted; waiting on shutdown
     # would serialize behind the hang.  Abandon the pool (its processes
     # exit once their current task finishes) and let the retry round
@@ -289,6 +386,14 @@ def run_supervised(
 ) -> List[TaskOutcome]:
     """Run a batch under supervision; one terminal outcome per task.
 
+    The tasks are partitioned by :func:`_group_tasks` and each group is
+    one supervised unit: it packs once, runs on the batched core, and
+    every member draws its own fault decisions by its own token.  A
+    transient failure of any member fails (and retries) the whole
+    group.  A group that fails for a non-retryable reason is split into
+    groups of one and re-run within the same attempt, so a permanently
+    failing point fails alone and its group-mates still simulate.
+
     Never raises for task failures — each :class:`TaskOutcome` carries
     either a result or the last attempt's error, and the caller decides
     whether to degrade, report, or raise.
@@ -297,81 +402,54 @@ def run_supervised(
     if tokens is None:
         tokens = [f"task{i}" for i in range(len(tasks))]
     outcomes = [TaskOutcome() for _ in tasks]
-    pending = list(range(len(tasks)))
+    pending = _group_tasks(tasks, jobs)
     pool_ok = jobs > 1
     attempt = 0
     while pending and attempt < policy.max_attempts:
         attempt += 1
         last = attempt >= policy.max_attempts
-        if pool_ok and not last:
-            failed, pool_ok = _pool_round(
-                tasks, pending, tokens, outcomes, jobs, attempt,
-                policy.timeout,
-            )
-            if not pool_ok:
-                # No pool in this environment: the round ran nothing.
-                # Fall through to a serial attempt without burning the
-                # retry budget on infrastructure that can never work.
-                attempt -= 1
-                continue
-        else:
-            failed = []
-            for i in pending:
-                out = outcomes[i]
-                out.attempts = attempt
-                try:
-                    faults.perturb_task(tokens[i], attempt, in_pool=False)
-                    out.result = _simulate_task(tasks[i])
-                    out.error = None
-                except BaseException as err:
-                    out.error = err
-                    failed.append(i)
-
-        retry = []
-        for i in failed:
-            out = outcomes[i]
-            assert out.error is not None
-            _record_fault(out.error, emit)
-            will_retry = not last and _retryable(out.error)
-            if emit:
-                emit(
-                    RetryEvent(
-                        token=tokens[i],
-                        attempt=attempt,
-                        reason=_fail_reason(out.error, out.timed_out),
-                        final=not will_retry,
-                        error=type(out.error).__name__,
-                    )
+        retry: List[Group] = []
+        groups = pending
+        while groups:
+            if pool_ok and not last:
+                failed, pool_ok = _pool_round(
+                    tasks, groups, tokens, outcomes, jobs, attempt,
+                    policy.timeout, emit,
                 )
-            if will_retry:
-                out.retried = True
-                retry.append(i)
+                if not pool_ok:
+                    # No pool in this environment: the round ran
+                    # nothing.  Run it serially without burning the
+                    # retry budget on infrastructure that can never work.
+                    continue
+            else:
+                failed = _serial_round(
+                    tasks, groups, tokens, outcomes, attempt, emit
+                )
+            groups = []
+            for group in failed:
+                out = outcomes[group[0]]
+                assert out.error is not None
+                _record_fault(out.error, emit)
+                retryable = _retryable(out.error)
+                split = not retryable and len(group) > 1
+                will_retry = not last and retryable
+                if emit:
+                    reason = _fail_reason(out.error)
+                    for i in group:
+                        emit(
+                            RetryEvent(
+                                token=tokens[i],
+                                attempt=attempt,
+                                reason=reason,
+                                final=not (will_retry or split),
+                                error=type(out.error).__name__,
+                            )
+                        )
+                if split:
+                    groups.extend([i] for i in group)
+                elif will_retry:
+                    retry.append(group)
         pending = retry
         if pending and policy.backoff > 0:
             time.sleep(policy.backoff * attempt)
     return outcomes
-
-
-def run_simulations(
-    tasks: Sequence[SimTask],
-    jobs: int = 1,
-    policy: Optional[SupervisorPolicy] = None,
-    tokens: Optional[Sequence[str]] = None,
-    emit: Optional[EmitFn] = None,
-) -> List[SimResult]:
-    """Run a batch of simulation tasks, results in input order.
-
-    The strict interface: the first task that still fails after the
-    supervisor's retry budget raises its error.  Callers that can
-    degrade per-point use :func:`run_supervised` directly.
-    """
-    outcomes = run_supervised(
-        tasks, jobs=jobs, policy=policy, tokens=tokens, emit=emit
-    )
-    results: List[SimResult] = []
-    for outcome in outcomes:
-        if outcome.error is not None:
-            raise outcome.error
-        assert outcome.result is not None
-        results.append(outcome.result)
-    return results

@@ -16,13 +16,14 @@ A request's life has two phases:
     exactly when their answers must be identical.  Load/parse failures
     surface here, before the request ever occupies a queue slot.
 
-    Engine *tuning* state is deliberately absent from the signature:
-    multi-point sweeps inside a job run on the warm engine's batched
-    SoA core (:mod:`repro.sim.batch`) whenever it is enabled, and
-    because the batched core is bit-identical to the scalar path, a
-    batched and an unbatched evaluation of the same content may share
-    one single-flight slot.  Only content that changes the *answer*
-    (kernel, config, passes pipeline, job params) may enter the hash.
+    Engine *tuning* state (worker count, timeouts, fast-path
+    screening knobs that cannot change a simulated result) is
+    deliberately absent from the signature.  Every simulated point of
+    a job runs on the warm engine's one simulator core, the batched
+    SoA core (:mod:`repro.sim.batch`), and how its points happen to be
+    grouped or split across workers never changes a result.  Only
+    content that changes the *answer* (kernel, config, passes pipeline,
+    job params) may enter the hash.
 
 :func:`execute`
     Runs on a worker thread against the warm shared engine and returns

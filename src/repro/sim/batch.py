@@ -81,11 +81,6 @@ _MEM_L1 = 3
 # 0 alu · 1 sfu · 2 ctrl · 3 barrier · 4 local load · 5 local store ·
 # 6 shared · 7 global · 8 global bypassed load · 9 local bypassed load.
 _N_CATEGORIES = 10
-_KIND_OF_CATEGORY = np.array(
-    [_COMPUTE, _COMPUTE, _COMPUTE, _BARRIER,
-     _MEM, _MEM, _MEM, _MEM, _MEM, _MEM],
-    dtype=np.int8,
-)
 
 
 class _FastCache:
@@ -313,13 +308,20 @@ class _Slot:
         self.waiters: List[int] = []
 
 
-def _pack_op(op, reg_index: Dict[str, int], alu: int, sfu: int, ctrl: int,
-             shared_lat: int, line_bytes: int) -> Tuple[tuple, int]:
-    """Compile one :class:`WarpOp` to its uniform tuple + category code."""
+def _pack_op(op, reg_index: Dict[str, int], srcs_table: Dict[tuple, tuple],
+             alu: int, sfu: int, ctrl: int, shared_lat: int,
+             line_bytes: int) -> Tuple[tuple, int]:
+    """Compile one :class:`WarpOp` to its uniform tuple + category code.
+
+    ``srcs_table`` interns the source-index tuples of one grid: the
+    per-warp copies of an instruction read the same registers, so they
+    share one tuple.
+    """
     setdefault = reg_index.setdefault
     dst = op.dst
     dst_idx = -1 if dst is None else setdefault(dst, len(reg_index))
     srcs = tuple(setdefault(s, len(reg_index)) for s in op.srcs)
+    srcs = srcs_table.setdefault(srcs, srcs)
     kind = op.kind
     if kind is LatencyClass.MEM:
         space = op.space
@@ -340,10 +342,12 @@ def _pack_op(op, reg_index: Dict[str, int], alu: int, sfu: int, ctrl: int,
             mode = _MEM_BYPASS
         else:
             mode = _MEM_L1
-        # Align once here so probes skip per-access line arithmetic
-        # (the executor already emits aligned lines; this is a no-op
-        # guard against traces packed with a different geometry).
-        lines = tuple(a - a % line_bytes for a in op.lines)
+        # Probes take line addresses directly.  The executor already
+        # emits them aligned, so its tuple is reused; only traces made
+        # with a different line size are re-aligned here.
+        lines = op.lines
+        if any(a % line_bytes for a in lines):
+            lines = tuple(a - a % line_bytes for a in lines)
         return (_MEM, mode, 0, dst_idx, srcs, lines, is_store), category
     if kind is LatencyClass.BARRIER:
         return (_BARRIER, 0, 0, -1, srcs, (), False), 3
@@ -375,13 +379,13 @@ class PackedGrid:
     Ops are memoized by object identity: the trace executor appends the
     *same* ``WarpOp`` object to every warp of a block for uniform
     instructions, so each is compiled once.  ``category_codes`` (one
-    int8 per dynamic instruction of the whole grid) is the SoA row the
-    static counters are reduced from in a single ``np.bincount``;
-    ``kind_codes`` is its projection onto the three kind codes.
+    int8 per dynamic instruction of the whole grid, collected in a
+    ``bytearray``) is the SoA row the static counters are reduced from
+    in a single ``np.bincount``.
     """
 
     __slots__ = (
-        "blocks", "num_warps", "nregs", "category_codes", "kind_codes",
+        "blocks", "num_warps", "nregs", "category_codes",
         "instructions", "issued_by_class", "local_load_insts",
         "local_store_insts", "shared_insts", "global_insts",
         "bypassed_insts",
@@ -393,10 +397,11 @@ class PackedGrid:
         shared_lat = lat.shared_mem
         line_bytes = config.l1.line_bytes
         reg_index: Dict[str, int] = {}
+        srcs_table: Dict[tuple, tuple] = {}
         memo: Dict[int, Tuple[tuple, int]] = {}
         self.blocks: List[List[List[tuple]]] = []
         self.num_warps: List[int] = []
-        codes: List[int] = []
+        codes = bytearray()
         code_append = codes.append
         memo_get = memo.get
         for trace in traces:
@@ -409,8 +414,8 @@ class PackedGrid:
                     entry = memo_get(key)
                     if entry is None:
                         entry = memo[key] = _pack_op(
-                            op, reg_index, alu, sfu, ctrl, shared_lat,
-                            line_bytes,
+                            op, reg_index, srcs_table, alu, sfu, ctrl,
+                            shared_lat, line_bytes,
                         )
                     append(entry[0])
                     code_append(entry[1])
@@ -418,8 +423,7 @@ class PackedGrid:
             self.blocks.append(packed_block)
             self.num_warps.append(trace.num_warps)
         self.nregs = len(reg_index)
-        self.category_codes = np.asarray(codes, dtype=np.int8)
-        self.kind_codes = _KIND_OF_CATEGORY[self.category_codes]
+        self.category_codes = np.frombuffer(codes, dtype=np.int8)
         counts = np.bincount(self.category_codes, minlength=_N_CATEGORIES)
         self.instructions = len(codes)
         by_class: Dict[str, int] = {}

@@ -58,12 +58,13 @@ class TestSimulate:
 
 
 class TestBatchFlags:
-    def test_crat_batch_toggle_output_identical(self, capsys):
-        assert main(["crat", "GAU", "--batch"]) == 0
-        batched = capsys.readouterr().out
-        assert main(["crat", "GAU", "--no-batch"]) == 0
-        scalar = capsys.readouterr().out
-        assert batched == scalar
+    def test_removed_batch_toggle_is_a_usage_error(self, capsys):
+        # One simulator core: there is no route left to toggle.
+        for flag in ("--batch", "--no-batch"):
+            with pytest.raises(SystemExit) as exc:
+                main(["crat", "GAU", flag])
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
 
     def test_bench_batchsim_records_ledger(self, tmp_path, capsys):
         import json

@@ -317,27 +317,29 @@ class TestParallelDeterminism:
 
 
 class TestBatchedRouting:
-    """Multi-point sweeps route through the batched SoA core by
-    default; the supervised scalar path stays the oracle and the
-    fallback, and flipping the toggle never changes a result."""
+    """Every uncached point runs on the batched core under the
+    supervisor: a group packs once, a lone point is a group of one, and
+    the scalar simulator is only the oracle the results are held to."""
 
-    def _requests(self, gau, tlps):
+    def _requests(self, gau, tlps, scheduler="gto"):
         return [
             SimRequest(gau.kernel, FERMI, tlp, grid_blocks=4,
-                       param_sizes=gau.param_sizes)
+                       param_sizes=gau.param_sizes, scheduler=scheduler)
             for tlp in tlps
         ]
 
-    def test_batch_toggle_is_bit_identical(self, gau):
-        on = EvaluationEngine(jobs=1, disk_cache="")
-        off = EvaluationEngine(jobs=1, disk_cache="", batch=False)
-        requests = self._requests(gau, [1, 2, 3])
-        a = on.simulate_many(requests)
-        b = off.simulate_many(self._requests(gau, [1, 2, 3]))
-        assert a == b
-        assert on.stats.batched_points == 3
-        assert on.stats.batched_groups == 1
-        assert off.stats.batched_points == 0
+    def _scalar(self, gau, tlp, scheduler="gto"):
+        from repro.sim import simulate_traces, trace_grid
+
+        traces = trace_grid(gau.kernel, FERMI, 4, gau.param_sizes)
+        return simulate_traces(traces, FERMI, tlp, scheduler=scheduler)
+
+    def test_group_matches_scalar_oracle(self, gau):
+        engine = EvaluationEngine(jobs=1, disk_cache="")
+        results = engine.simulate_many(self._requests(gau, [1, 2, 3]))
+        assert results == [self._scalar(gau, t) for t in (1, 2, 3)]
+        assert engine.stats.batched_points == 3
+        assert engine.stats.batched_groups == 1
 
     def test_batchsim_event_emitted(self, gau):
         from repro.engine import BatchSimEvent
@@ -350,43 +352,45 @@ class TestBatchedRouting:
         assert events[0].scheduler == "gto"
 
     def test_singleton_group_stays_supervised(self, gau):
+        """A lone point is a supervised group of one on the packed core,
+        and it counts as batched."""
         engine = EvaluationEngine(jobs=1, disk_cache="")
-        engine.simulate_many(self._requests(gau, [2]))
-        assert engine.stats.batched_points == 0
+        [result] = engine.simulate_many(self._requests(gau, [2]))
+        assert result == self._scalar(gau, 2)
+        assert engine.stats.batched_points == 1
+        assert engine.stats.batched_groups == 1
 
-    def test_evaluate_batch_forces_batching(self, gau):
-        engine = EvaluationEngine(jobs=1, disk_cache="", batch=False)
-        results = engine.evaluate_batch(self._requests(gau, [1, 2]))
-        assert [r.tlp for r in results] == [1, 2]
-        assert engine.stats.batched_points == 2
+    def test_jobs_split_groups_without_changing_results(self, gau):
+        serial = EvaluationEngine(jobs=1, disk_cache="")
+        pooled = EvaluationEngine(jobs=2, disk_cache="")
+        expected = serial.simulate_many(self._requests(gau, [1, 2, 3]))
+        assert pooled.simulate_many(self._requests(gau, [1, 2, 3])) == expected
+        # Striped into at most ``jobs`` sub-groups: {1, 3} and {2}.
+        assert pooled.stats.batched_groups == 2
+        assert pooled.stats.batched_points == 3
 
-    def test_fault_plan_disables_batching(self, gau, monkeypatch):
-        """Under an active fault plan the supervised machinery must
-        stay in the loop (that is what the plan exercises), so batching
-        steps aside; results still match the clean batched run."""
+    def test_fault_plan_keeps_the_packed_core(self, gau, monkeypatch):
+        """An active fault plan perturbs the default path: the points
+        still run on the packed core and match the clean run."""
         clean = EvaluationEngine(jobs=1, disk_cache="")
         expected = clean.simulate_many(self._requests(gau, [1, 2]))
         monkeypatch.setenv("REPRO_FAULTS", "corrupt-cache:0.5")
         engine = EvaluationEngine(jobs=1, disk_cache="")
         results = engine.simulate_many(self._requests(gau, [1, 2]))
-        assert engine.stats.batched_points == 0
+        assert engine.stats.batched_points == 2
+        assert engine.stats.batched_groups == 1
         assert results == expected
 
-    def test_configure_and_snapshot_expose_batch(self):
-        from repro.engine import configure, get_engine, set_engine
+    def test_engine_has_no_batch_toggle(self):
+        import inspect
 
-        original = get_engine()
-        try:
-            engine = EvaluationEngine(jobs=1, disk_cache="")
-            set_engine(engine)
-            assert engine.snapshot()["batch"] is True
-            configure(batch=False)
-            assert engine.batch is False
-            assert engine.snapshot()["batch"] is False
-            configure(batch=True)
-            assert engine.batch is True
-        finally:
-            set_engine(original)
+        from repro.engine import configure
+
+        engine = EvaluationEngine(jobs=1, disk_cache="")
+        assert not hasattr(engine, "batch")
+        assert not hasattr(engine, "evaluate_batch")
+        assert "batch" not in engine.snapshot()
+        assert "batch" not in inspect.signature(configure).parameters
 
     def test_mixed_schedulers_group_separately(self, gau):
         engine = EvaluationEngine(jobs=1, disk_cache="")
@@ -399,8 +403,9 @@ class TestBatchedRouting:
         results = engine.simulate_many(requests)
         assert engine.stats.batched_groups == 2
         assert engine.stats.batched_points == 4
-        solo = EvaluationEngine(jobs=1, disk_cache="", batch=False)
-        assert results == solo.simulate_many(list(requests))
+        assert results == [
+            self._scalar(gau, r.tlp, r.scheduler) for r in requests
+        ]
 
 
 class TestInstrumentation:
@@ -414,6 +419,17 @@ class TestInstrumentation:
         assert {"trace", "simulate", "batch", "stage"} <= kinds
         assert snapshot["stats"]["simulations"] == 2
         assert "unit-test" in snapshot["stats"]["stage_seconds"]
+
+    def test_dropped_events_are_counted(self):
+        from repro.engine import StageEvent
+
+        engine = EvaluationEngine(jobs=1, disk_cache="", max_events=3)
+        for n in range(5):
+            engine._emit(StageEvent(name=f"s{n}", seconds=0.0))
+        assert len(engine.events) == 3
+        assert engine.stats.events_dropped == 2
+        assert engine.snapshot()["stats"]["events_dropped"] == 2
+        assert "2 events dropped" in engine.stats.summary()
 
     def test_reset_stats_keeps_cache_warm(self, gau):
         engine = EvaluationEngine(jobs=1)

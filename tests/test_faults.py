@@ -240,6 +240,49 @@ class TestInjectedFaultRecovery:
         assert kinds.count("degrade") == 3
         assert len(engine._sim_cache) == 0
 
+    def test_fail_degrades_alone_in_its_group(self, gau, monkeypatch):
+        """A ``fail`` point fails its group's attempt; the supervisor
+        splits the group into groups of one (even on the last attempt),
+        so only that point degrades and its group-mates keep their
+        bit-identical simulated results."""
+        from repro.engine.cache import key_digest
+
+        clean = _clean_profile(gau)
+        tokens = {
+            tlp: key_digest(make_sim_key(
+                gau.kernel.fingerprint(), FERMI, 4, gau.param_sizes, tlp,
+                "gto",
+            ))
+            for tlp in clean
+        }
+
+        def failing(seed):
+            plan = FaultPlan.parse("fail:0.5", seed=seed)
+            return [t for t, tok in tokens.items() if plan.decide("fail", tok)]
+
+        seed = next(s for s in range(200) if len(failing(s)) == 1)
+        [bad] = failing(seed)
+        monkeypatch.setenv("REPRO_FAULTS", "fail:0.5")
+        monkeypatch.setenv("REPRO_FAULTS_SEED", str(seed))
+        engine = EvaluationEngine(
+            jobs=1, supervisor=SupervisorPolicy(max_attempts=1, backoff=0.0)
+        )
+        profile = engine.profile_tlp(gau.kernel, FERMI, 3, grid_blocks=4,
+                                     param_sizes=gau.param_sizes)
+        assert profile[bad].estimated
+        for tlp in set(clean) - {bad}:
+            assert profile[tlp] == clean[tlp]
+        assert engine.stats.degraded == 1
+        assert engine.stats.sim_failures == 1
+        # The group of three failed once, then ran as three singletons
+        # of which two completed on the packed core.
+        assert engine.stats.batched_groups == 2
+        assert engine.stats.batched_points == 2
+        fault_tokens = {
+            e.token for e in engine.events if getattr(e, "kind", "") == "fault"
+        }
+        assert fault_tokens == {tokens[bad]}
+
     def test_strict_single_point_raises_classified(self, gau, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "fail:1.0")
         engine = EvaluationEngine(

@@ -4,10 +4,13 @@
 Runs the batched SoA core (:mod:`repro.sim.batch`) against the scalar
 :class:`~repro.sim.sm.SMSimulator` reference over the whole corpus —
 ``examples/*.ptx`` plus all 22 suite apps — at **every** TLP of each
-kernel's staircase (1..max_tlp) under both warp schedulers, and fails
-on any drift in any :class:`~repro.sim.stats.SimResult` field.  The
-batched core's contract is bit-identity, not approximation: a single
-drifting counter is a bug.
+kernel's staircase (1..max_tlp) under both warp schedulers, on the
+``fermi`` and ``kepler`` configs, and fails on any drift in any
+:class:`~repro.sim.stats.SimResult` field.  Each point is checked in
+both shapes the engine produces: as a lane of the whole multi-lane
+sweep, and as a batch of one (how a singleton point runs).  The batched
+core's contract is bit-identity, not approximation: a single drifting
+counter is a bug.
 
 Example kernels that cannot be traced (e.g. ``miscompiled.ptx``, which
 exists to exercise the verifier) are skipped with a note — they can
@@ -43,6 +46,7 @@ from repro.workloads import full_suite, load_workload  # noqa: E402
 EXAMPLE_GRID_BLOCKS = 12
 
 SCHEDULERS = ("gto", "lrr")
+CONFIGS = ("fermi", "kepler")
 
 
 def corpus(config):
@@ -80,12 +84,11 @@ def diff_fields(scalar, batched):
     ]
 
 
-def main() -> int:
-    config = get_config("fermi")
-    failures = []
+def check_config(config_name, failures):
+    """Gate one config; returns (kernels, points) checked."""
+    config = get_config(config_name)
     kernels = 0
     points = 0
-    t0 = time.perf_counter()
     for name, traces, max_tlp in corpus(config):
         kernels += 1
         tlps = list(range(1, max_tlp + 1))
@@ -94,22 +97,41 @@ def main() -> int:
                 simulate_traces(traces, config, tlp, scheduler=scheduler)
                 for tlp in tlps
             ]
-            batched = simulate_traces_batched(
-                traces, config, tlps, scheduler=scheduler
-            )
-            for tlp, s, b in zip(tlps, scalar, batched):
-                points += 1
-                drifted = diff_fields(s, b)
-                if drifted:
-                    failures.append(
-                        f"{name}: scheduler={scheduler} tlp={tlp}: "
-                        f"drift in {', '.join(drifted)}"
-                    )
-    elapsed = time.perf_counter() - t0
-    print(
-        f"batch-sim-gate: {kernels} kernels, {points} design points "
-        f"({'/'.join(SCHEDULERS)}), {elapsed:.1f}s"
-    )
+            shapes = {
+                "multi-lane": simulate_traces_batched(
+                    traces, config, tlps, scheduler=scheduler
+                ),
+                "batch-of-one": [
+                    simulate_traces_batched(
+                        traces, config, [tlp], scheduler=scheduler
+                    )[0]
+                    for tlp in tlps
+                ],
+            }
+            points += len(tlps)
+            for shape, batched in shapes.items():
+                for tlp, s, b in zip(tlps, scalar, batched):
+                    drifted = diff_fields(s, b)
+                    if drifted:
+                        failures.append(
+                            f"{config_name}/{name}: scheduler={scheduler} "
+                            f"tlp={tlp} {shape}: drift in "
+                            f"{', '.join(drifted)}"
+                        )
+    return kernels, points
+
+
+def main() -> int:
+    failures = []
+    t0 = time.perf_counter()
+    for config_name in CONFIGS:
+        kernels, points = check_config(config_name, failures)
+        print(
+            f"batch-sim-gate: {config_name}: {kernels} kernels, {points} "
+            f"design points ({'/'.join(SCHEDULERS)}), each as a multi-lane "
+            f"lane and as a batch of one"
+        )
+    print(f"batch-sim-gate: {time.perf_counter() - t0:.1f}s")
     if failures:
         for failure in failures:
             print(f"FAIL {failure}", file=sys.stderr)
