@@ -19,8 +19,7 @@ Commands mirror how the paper's toolchain is used:
   coalescing/bank-conflict/dead-store analysis (``LNT2xx``), warp
   divergence (``LNT3xx``), def-use hygiene (``LNT4xx``); ``--json``,
   ``--sarif [PATH]`` (SARIF 2.1.0), ``--rules`` code selection,
-  ``--fail-on error|warn|never`` gating (exit 8 on findings), and
-  ``--features-json PATH`` for the versioned static feature vector
+  and ``--fail-on error|warn|never`` gating (exit 8 on findings)
 * ``serve``              — persistent compilation daemon: one warm
   engine behind a unix socket (or TCP via ``--listen``), NDJSON
   protocol, single-flight dedup, bounded queue with backpressure,
@@ -106,10 +105,6 @@ def _engine_for(args):
         # Fold the active --passes pipeline into the engine's cache
         # keys (validated here, so a typo exits 2 before any work).
         passes=getattr(args, "passes", None),
-        # Learned tier-0 screen: an artifact path installs it on the
-        # shared engine (None leaves the current screen untouched).
-        costmodel=getattr(args, "costmodel", None),
-        telemetry_dir=getattr(args, "telemetry_dir", None),
     )
 
 
@@ -195,10 +190,10 @@ def _load_unverified(target: str):
 
 
 def cmd_lint(args) -> int:
-    """Static-analysis lint: LNT rules, SARIF, feature extraction."""
+    """Static-analysis lint: LNT rules and SARIF."""
     import json as json_mod
 
-    from .analysis import extract_features, run_lint, severity_gate, to_sarif
+    from .analysis import run_lint, severity_gate, to_sarif
     from .errors import EXIT_LINT, ParseError
     from .verify.registry import select_rules
 
@@ -212,16 +207,6 @@ def cmd_lint(args) -> int:
     kernel, source = _load_unverified(args.target)
     config = get_config(args.config)
     report = run_lint(kernel, config=config, rules=rules, source=source)
-
-    if args.features_json:
-        features = extract_features(kernel, config=config)
-        try:
-            with open(args.features_json, "w") as handle:
-                handle.write(features.to_json() + "\n")
-        except OSError as err:
-            raise SystemExit(f"error: cannot write features: {err}")
-        print(f"feature vector written to {args.features_json}",
-              file=sys.stderr)
 
     if args.sarif is not None:
         sarif = to_sarif(
@@ -389,122 +374,12 @@ def _resolve_bench_apps(args):
     return [w.abbr for w in full_suite()]
 
 
-def cmd_corpus(args) -> int:
-    """``repro corpus export/stats`` — the training-dataset builder."""
-    from .model import corpus_stats, load_corpus, write_corpus
-    from .model.corpus import harvest_telemetry, sweep_records
-
-    if args.action == "stats":
-        records = load_corpus(args.corpus)
-        print(json.dumps(corpus_stats(records), indent=2))
-        return 0
-
-    # export
-    _engine_for(args)
-    records = []
-    if args.journal:
-        records.extend(harvest_telemetry(args.journal))
-        print(f"harvested {len(records)} telemetry records from "
-              f"{len(args.journal)} journal dir(s)", file=sys.stderr)
-    abbrs = []
-    if args.apps:
-        abbrs = [a.upper() for a in args.apps]
-        unknown = [a for a in abbrs if a not in BY_ABBR]
-        if unknown:
-            raise SystemExit(f"error: unknown app(s): {', '.join(unknown)}")
-    elif args.all:
-        from .workloads import full_suite
-
-        abbrs = [w.abbr for w in full_suite()]
-    if abbrs:
-        before = len(records)
-        records.extend(
-            sweep_records(abbrs, config_name=args.config,
-                          schedulers=tuple(args.schedulers))
-        )
-        print(f"swept {len(abbrs)} app(s): {len(records) - before} records",
-              file=sys.stderr)
-    if not records:
-        raise SystemExit("error: corpus export needs --apps, --all, or "
-                         "--journal DIR")
-    count = write_corpus(records, args.out)
-    print(f"wrote {count} deduplicated records to {args.out}")
-    return 0
-
-
-def cmd_model(args) -> int:
-    """``repro model train/info`` — the tier-0 trainer and inspector."""
-    from .model import load_artifact, load_corpus, save_artifact, train_model
-
-    if args.action == "info":
-        artifact = load_artifact(args.model)
-        payload = artifact.payload()
-        # The full inverse Gram matrix is noise for a human; keep the
-        # provenance and metrics.
-        for heavy in ("a_inv", "mean", "std", "weights"):
-            payload.pop(heavy, None)
-        print(json.dumps(payload, indent=2))
-        return 0
-
-    # train
-    records = load_corpus(args.corpus)
-    artifact = train_model(records, lam=args.lam, seed=args.seed)
-    checksum = save_artifact(artifact, args.out)
-    metrics = {
-        k: v for k, v in artifact.metrics.items() if k != "per_app"
-    }
-    print(f"trained on {artifact.n_records} records "
-          f"({artifact.n_kernels} kernels); "
-          f"metrics: {json.dumps(metrics)}")
-    print(f"artifact written to {args.out} (checksum {checksum[:12]})")
-    return 0
-
-
 def cmd_bench(args) -> int:
-    if getattr(args, "costmodel", False):
-        from .bench import compare_costmodel, record_costmodel
-
-        if not args.model:
-            raise SystemExit("error: bench --costmodel requires --model "
-                             "PATH (train one with repro model train)")
-        comparison = compare_costmodel(
-            args.model,
-            abbrs=_resolve_bench_apps(args),
-            config_name=args.config,
-            top_k=args.fastpath_topk if args.fastpath_topk else 3,
-            jobs=args.jobs if args.jobs else None,
-            verify=args.verify,
-        )
-        print(comparison.table())
-        record_path = args.record or "BENCH_costmodel.json"
-        record_costmodel(comparison, record_path)
-        print(f"run recorded to {record_path}", file=sys.stderr)
-        if getattr(args, "report_json", ""):
-            with open(args.report_json, "w") as handle:
-                json.dump(comparison.to_record(), handle, indent=2)
-                handle.write("\n")
-            print(f"report written to {args.report_json}", file=sys.stderr)
-        # The safety contract, not perfection, is the gate: the model
-        # must never miss a winner on an app it actually screened.
-        return 0 if not comparison.screened_mismatches else 1
     if args.batchsim:
         from .bench import compare_batchsim, record_batchsim
 
-        from .workloads import RESOURCE_SENSITIVE, full_suite
-
-        if args.apps:
-            abbrs = [a.upper() for a in args.apps]
-            unknown = [a for a in abbrs if a not in BY_ABBR]
-            if unknown:
-                raise SystemExit(
-                    f"error: unknown app(s): {', '.join(unknown)}"
-                )
-        elif args.suite == "sensitive":
-            abbrs = [w.abbr for w in RESOURCE_SENSITIVE]
-        else:
-            abbrs = [w.abbr for w in full_suite()]
         comparison = compare_batchsim(
-            abbrs,
+            _resolve_bench_apps(args),
             config_name=args.config,
             repeats=args.repeats,
         )
@@ -531,20 +406,9 @@ def cmd_bench(args) -> int:
                          "(scalar vs batched simulation core)")
     from .bench import compare_fastpath
 
-    from .workloads import RESOURCE_SENSITIVE, full_suite
-
-    if args.apps:
-        abbrs = [a.upper() for a in args.apps]
-        unknown = [a for a in abbrs if a not in BY_ABBR]
-        if unknown:
-            raise SystemExit(f"error: unknown app(s): {', '.join(unknown)}")
-    elif args.suite == "sensitive":
-        abbrs = [w.abbr for w in RESOURCE_SENSITIVE]
-    else:
-        abbrs = [w.abbr for w in full_suite()]
     topk = args.fastpath_topk if args.fastpath_topk else 1
     comparison = compare_fastpath(
-        abbrs,
+        _resolve_bench_apps(args),
         config_name=args.config,
         top_k=topk,
         refine=not args.no_refine,
@@ -660,8 +524,6 @@ def cmd_serve(args) -> int:
         task_timeout=args.task_timeout,
         cache_max_entries=bound,
         passes=args.passes,
-        costmodel=getattr(args, "costmodel", None),
-        telemetry_dir=getattr(args, "telemetry_dir", None),
     )
     # Daemon-wide default pipeline; per-request "passes" params
     # override it (and re-key the single-flight signature).
@@ -695,7 +557,6 @@ def cmd_serve(args) -> int:
         workers=args.workers,
         queue_limit=args.queue_limit,
         log_interval=args.log_interval,
-        costmodel_path=getattr(args, "costmodel", None) or None,
     )
 
 
@@ -736,9 +597,6 @@ def _submit_params(args) -> dict:
             params["apps"] = [a.upper() for a in args.apps]
         if args.verify:
             params["verify"] = True
-    elif args.job == "reload-model":
-        if getattr(args, "model", ""):
-            params["path"] = args.model
     if args.job in ("crat", "simulate", "suite") and args.passes:
         params["passes"] = args.passes
     return params
@@ -799,7 +657,7 @@ def cmd_submit(args) -> int:
                 deadline=args.deadline,
                 priority=args.priority,
             )
-    if args.json or args.job in ("verify", "suite", "stats", "reload-model"):
+    if args.json or args.job in ("verify", "suite", "stats"):
         print(json.dumps(result, indent=2, sort_keys=True))
     else:
         _render_submit_result(args.job, result)
@@ -922,9 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="error",
                         help="finding severity that fails the run with "
                              "exit 8 (default: error)")
-    p_lint.add_argument("--features-json", default="", metavar="PATH",
-                        help="write the versioned static feature vector "
-                             "(tier-0 cost-model input) to PATH")
     p_lint.set_defaults(func=cmd_lint)
 
     def add_lint_flag(p):
@@ -966,19 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(screen-only fast path: fewer "
                                 "simulations, approximate winner)")
 
-    def add_costmodel_flags(p):
-        p.add_argument("--costmodel", default=None, metavar="MODEL",
-                       help="install a trained tier-0 cost model "
-                            "artifact on the engine: a healthy model "
-                            "shrinks the fast path's survivor budget; "
-                            "drift demotes it back to the analytical "
-                            "screen ('' clears)")
-        p.add_argument("--telemetry-dir", default=None, metavar="DIR",
-                       help="append one training record per fresh "
-                            "simulation to DIR/telemetry.ndjsonl "
-                            "(harvested by repro corpus export "
-                            "--journal; default: $REPRO_TELEMETRY_DIR)")
-
     p_sim = sub.add_parser("simulate", help="run the timing simulator")
     p_sim.add_argument("target")
     p_sim.add_argument("--tlp", type=int, default=4)
@@ -1000,7 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_crat.add_argument("--emit", default="",
                         help="write optimized PTX to this path")
     add_engine_flags(p_crat, fastpath=True)
-    add_costmodel_flags(p_crat)
     add_verify_flag(p_crat)
     add_passes_flag(p_crat)
     add_lint_flag(p_crat)
@@ -1013,7 +854,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(completed/failed apps, exit code) to this "
                               "path")
     add_engine_flags(p_suite, fastpath=True)
-    add_costmodel_flags(p_suite)
     add_verify_flag(p_suite)
     add_passes_flag(p_suite)
     add_lint_flag(p_suite)
@@ -1034,17 +874,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="compare the scalar simulator against the "
                               "batched SoA core on every app's TLP "
                               "staircase (asserts bit-identity)")
-    p_bench.add_argument("--costmodel", action="store_true",
-                         help="compare exact vs analytical vs learned "
-                              "tier-0 pipelines on every app (requires "
-                              "--model; appends to BENCH_costmodel.json)")
-    p_bench.add_argument("--model", default="", metavar="PATH",
-                         help="trained model artifact for --costmodel "
-                              "(see repro model train)")
     p_bench.add_argument("--report-json", default="", metavar="PATH",
                          help="write the structured per-app comparison "
                               "(rank-agreement rows included) to this "
-                              "path (--fastpath and --costmodel)")
+                              "path (--fastpath)")
     p_bench.add_argument("--repeats", type=int, default=1,
                          help="best-of-N timing repeats for --batchsim "
                               "(default 1)")
@@ -1063,63 +896,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_engine_flags(p_bench, trace=False, fastpath=True)
     add_verify_flag(p_bench)
     p_bench.set_defaults(func=cmd_bench)
-
-    p_corpus = sub.add_parser(
-        "corpus", help="build/inspect the tier-0 training corpus "
-                       "(versioned NDJSON of features -> cycles)"
-    )
-    corpus_sub = p_corpus.add_subparsers(dest="action", required=True)
-    p_cexport = corpus_sub.add_parser(
-        "export", help="harvest records from app sweeps and/or "
-                       "telemetry journals into a deduplicated corpus"
-    )
-    p_cexport.add_argument("--apps", nargs="+", default=[],
-                           help="app abbreviations to sweep exhaustively")
-    p_cexport.add_argument("--all", action="store_true",
-                           help="sweep the full 22-app suite")
-    p_cexport.add_argument("--journal", nargs="+", default=[],
-                           metavar="DIR",
-                           help="telemetry journal directories to "
-                                "harvest (engine/service/fleet "
-                                "--telemetry-dir output)")
-    p_cexport.add_argument("--schedulers", nargs="+", default=["gto"],
-                           choices=("gto", "lrr"),
-                           help="warp schedulers to sweep (default gto)")
-    p_cexport.add_argument("--config", default="fermi")
-    p_cexport.add_argument("--out", default="corpus.ndjsonl",
-                           help="output corpus path "
-                                "(default corpus.ndjsonl)")
-    add_engine_flags(p_cexport, trace=False)
-    p_cexport.set_defaults(func=cmd_corpus)
-    p_cstats = corpus_sub.add_parser(
-        "stats", help="print a JSON summary of a corpus file"
-    )
-    p_cstats.add_argument("corpus", help="corpus NDJSON path")
-    p_cstats.set_defaults(func=cmd_corpus)
-
-    p_model = sub.add_parser(
-        "model", help="train/inspect the learned tier-0 cost model"
-    )
-    model_sub = p_model.add_subparsers(dest="action", required=True)
-    p_mtrain = model_sub.add_parser(
-        "train", help="fit the deterministic ridge surrogate with "
-                      "per-app holdout metrics"
-    )
-    p_mtrain.add_argument("corpus", help="training corpus NDJSON path")
-    p_mtrain.add_argument("--out", default="model.json",
-                          help="artifact output path (default model.json)")
-    p_mtrain.add_argument("--lam", type=float, default=1.0,
-                          help="ridge penalty (default 1.0)")
-    p_mtrain.add_argument("--seed", type=int, default=0,
-                          help="provenance seed recorded in the artifact "
-                               "(the closed-form fit is deterministic "
-                               "regardless)")
-    p_mtrain.set_defaults(func=cmd_model)
-    p_minfo = model_sub.add_parser(
-        "info", help="print an artifact's provenance and metrics"
-    )
-    p_minfo.add_argument("model", help="model artifact path")
-    p_minfo.set_defaults(func=cmd_model)
 
     p_serve = sub.add_parser(
         "serve", help="persistent compilation daemon (NDJSON over a "
@@ -1165,7 +941,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "journal to its ring successor (default "
                               "5.0; 0 disables)")
     add_engine_flags(p_serve, trace=False, fastpath=True)
-    add_costmodel_flags(p_serve)
     add_passes_flag(p_serve)
     p_serve.set_defaults(func=cmd_serve)
 
@@ -1174,7 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_submit.add_argument("job",
                           choices=("crat", "simulate", "verify", "suite",
-                                   "stats", "reload-model"),
+                                   "stats"),
                           help="job type")
     p_submit.add_argument("target", nargs="?", default=None,
                           help="APP abbreviation or PTX file (sent "
@@ -1210,10 +985,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="suite: explicit app list")
     p_submit.add_argument("--verify", action="store_true",
                           help="crat/suite: translation-validate")
-    p_submit.add_argument("--model", default="",
-                          help="reload-model: artifact path on the "
-                               "daemon's filesystem (default: the path "
-                               "the daemon booted with)")
     add_passes_flag(p_submit)
     p_submit.set_defaults(func=cmd_submit)
 

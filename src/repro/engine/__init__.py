@@ -43,7 +43,6 @@ from .events import (
     event_to_dict,
 )
 from .fastpath import (
-    FASTPATH_SCHEMA_VERSION,
     CandidateScore,
     FastPathEvaluator,
     FastPathPolicy,
@@ -81,7 +80,6 @@ __all__ = [
     "DegradeEvent",
     "EngineStats",
     "EvaluationEngine",
-    "FASTPATH_SCHEMA_VERSION",
     "FAULTS_ENV",
     "FAULTS_SEED_ENV",
     "FastPathEvaluator",

@@ -43,11 +43,9 @@ from typing import Callable, Dict, Optional, Tuple
 
 from ..arch.config import GPUConfig
 from ..ir.pipeline import PIPELINE_SCHEMA_VERSION
-from ..model.artifact import MODEL_SCHEMA_VERSION
-from ..sim.batch import BATCH_SCHEMA_VERSION
+from ..sim.batch import SIM_SEMANTICS_VERSION
 from ..sim.stats import SimResult
 from . import faults
-from .fastpath import FASTPATH_SCHEMA_VERSION
 
 #: Environment variable naming the on-disk cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -96,25 +94,21 @@ class CacheCorruptionError(Exception):
 def cache_schema_version() -> str:
     """The schema tag baked into every simulation-cache key.
 
-    Combines the result-layout revision with the fast-path scoring
-    revision (:data:`repro.engine.fastpath.FASTPATH_SCHEMA_VERSION`),
-    the optimization-pipeline revision
-    (:data:`repro.ir.pipeline.PIPELINE_SCHEMA_VERSION`) and the batched
-    simulation core's revision
-    (:data:`repro.sim.batch.BATCH_SCHEMA_VERSION`) and the learned
-    tier-0 cost model's revision
-    (:data:`repro.model.artifact.MODEL_SCHEMA_VERSION`): on-disk
-    entries written under a different scoring model — whose pruning
-    decided *which* points ever got simulated — under pass semantics
-    that have since changed, by a batched core whose semantics have
-    since been revised, or under a learned screen whose prediction
-    semantics have since been revised, are invalidated wholesale by a
-    version bump rather than trusted silently.
+    Holds exactly what decides a cached result: the result-layout
+    revision, the simulator's semantics
+    (:data:`repro.sim.batch.SIM_SEMANTICS_VERSION`) and the
+    optimization-pipeline revision
+    (:data:`repro.ir.pipeline.PIPELINE_SCHEMA_VERSION`).  On-disk
+    entries written under a result layout, simulator or pass semantics
+    that have since changed are invalidated wholesale by a version bump
+    rather than trusted silently.  A screen (the analytical fast path)
+    only chooses *which* points get simulated, never what a simulated
+    point's result is, and estimated results are never stored, so its
+    revision is not part of the tag.
     """
     return (
-        f"r{RESULT_SCHEMA_VERSION}.fp{FASTPATH_SCHEMA_VERSION}"
-        f".pp{PIPELINE_SCHEMA_VERSION}.b{BATCH_SCHEMA_VERSION}"
-        f".m{MODEL_SCHEMA_VERSION}"
+        f"r{RESULT_SCHEMA_VERSION}.s{SIM_SEMANTICS_VERSION}"
+        f".pp{PIPELINE_SCHEMA_VERSION}"
     )
 
 

@@ -57,7 +57,6 @@ from .events import (
     BatchEvent,
     CacheCorruptEvent,
     CheckpointEvent,
-    CostModelEvent,
     DegradeEvent,
     EngineEvent,
     EngineStats,
@@ -77,12 +76,6 @@ from .parallel import SupervisorPolicy, resolve_jobs, run_supervised
 
 #: Environment variable naming the checkpoint journal directory.
 CHECKPOINT_DIR_ENV = "REPRO_CHECKPOINT_DIR"
-
-#: Environment variable naming the telemetry journal directory: every
-#: fresh successful simulation appends one training record (features +
-#: design point + realized cycles) to ``telemetry.ndjsonl`` there, the
-#: raw material of ``repro corpus export --journal``.
-TELEMETRY_DIR_ENV = "REPRO_TELEMETRY_DIR"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -115,8 +108,6 @@ class EvaluationEngine:
         checkpoint_dir: Optional[str] = None,
         cache_max_entries: Optional[int] = None,
         pipeline: str = "",
-        costmodel: Optional[object] = None,
-        telemetry_dir: Optional[str] = None,
     ):
         self.jobs = resolve_jobs(jobs)
         #: The active ``--passes`` signature; folded into every cache
@@ -148,83 +139,6 @@ class EvaluationEngine:
             if checkpoint_dir
             else None
         )
-        #: Optional learned tier-0 screen
-        #: (:class:`repro.model.screen.Tier0Screen`): when active it
-        #: re-picks the fast path's survivors from static features and
-        #: a shrunken budget; when absent, demoted or declining, the
-        #: analytical selection is used untouched.
-        self.costmodel = costmodel
-        #: Optional telemetry journal: every fresh successful
-        #: simulation appends one training record.  Strictly
-        #: best-effort — journal failures never fail a simulation.
-        if telemetry_dir is None:
-            telemetry_dir = os.environ.get(TELEMETRY_DIR_ENV) or None
-        self.telemetry_dir = telemetry_dir
-        self._telemetry_features: Dict[Tuple[str, str], Dict[str, float]] = {}
-
-    # ------------------------------------------------------------------
-    # Learned tier-0 cost model.
-    # ------------------------------------------------------------------
-    def set_costmodel(self, screen: Optional[object]) -> None:
-        """Install (or clear, with ``None``) the tier-0 screen.
-
-        Also the hot-reload path: the service's ``reload-model``
-        control job loads a fresh artifact into the shared engine
-        without a restart."""
-        self.costmodel = screen
-        if screen is not None:
-            summary = screen.summary() if hasattr(screen, "summary") else {}
-            self._emit(
-                CostModelEvent(
-                    kernel="",
-                    action="loaded",
-                    agreement=float(summary.get("rolling_agreement", 1.0)),
-                    reason=str(summary.get("reason", "")),
-                )
-            )
-
-    def _record_telemetry(self, req: "SimRequest", fingerprint: str,
-                          result: SimResult) -> None:
-        """Append one training record for a fresh simulation.
-
-        Journal problems are swallowed (telemetry must never affect
-        results); schema problems cannot occur because the record is
-        built by the same code that defines the schema.
-        """
-        if not self.telemetry_dir or getattr(result, "estimated", False):
-            return
-        try:
-            from ..analysis.features import extract_features
-            from ..model.corpus import CorpusRecord, TELEMETRY_FILE
-
-            sig = config_signature(req.config)
-            cache_key = (fingerprint, key_digest((sig,)))
-            features = self._telemetry_features.get(cache_key)
-            if features is None:
-                features = dict(
-                    extract_features(req.kernel, config=req.config).values
-                )
-                self._telemetry_features[cache_key] = features
-            record = CorpusRecord(
-                kernel=req.kernel.name,
-                fingerprint=fingerprint,
-                config=cache_key[1],
-                pipeline=self.pipeline,
-                grid_blocks=req.resolved_grid(),
-                tlp=req.tlp,
-                scheduler=req.scheduler,
-                cycles=result.cycles,
-                features=features,
-                source="telemetry",
-            )
-            os.makedirs(self.telemetry_dir, exist_ok=True)
-            path = os.path.join(self.telemetry_dir, TELEMETRY_FILE)
-            with open(path, "a") as handle:
-                handle.write(
-                    json.dumps(record.to_dict(), sort_keys=True) + "\n"
-                )
-        except Exception:
-            pass
 
     def _on_cache_corrupt(self, path: str, reason: str) -> None:
         self.stats.cache_corrupt += 1
@@ -470,9 +384,6 @@ class EvaluationEngine:
                     self._sim_cache.put(keys[i], result)
                     if self._checkpoint is not None:
                         self._checkpoint.put(keys[i], result)
-                    self._record_telemetry(
-                        req, fingerprints[id(req.kernel)], result
-                    )
                     results[i] = result
                     self.stats.sim_misses += 1
                     self._emit(
@@ -610,46 +521,6 @@ class EvaluationEngine:
         )
         selection = evaluator.select(scores, must_keep=anchors)
 
-        # Tier 0: a healthy learned screen re-picks the survivors from
-        # static features with a budget that shrinks as its measured
-        # rank agreement rises.  It can only choose which points
-        # simulate *first* — the refinement walk below still runs, so
-        # the reported optimum stays a simulated local minimum either
-        # way — and any decline (inactive, demoted, too uncertain)
-        # leaves the analytical selection bit-identical.
-        tier0 = self.costmodel
-        tier0_used = False
-        if tier0 is not None and getattr(tier0, "active", False):
-            picked = tier0.screen_sweep(
-                kernel, config, tlps, resolved_grid, anchors,
-                selection.top_k,
-            )
-            agreement_now = tier0.detector.rolling_agreement()
-            if picked is None:
-                self.stats.tier0_declined += 1
-                self._emit(
-                    CostModelEvent(
-                        kernel=kernel.name,
-                        action="declined",
-                        agreement=agreement_now,
-                        reason="predictions too uncertain to rank",
-                    )
-                )
-            else:
-                survivors, skipped, k_eff = picked
-                selection = dataclasses.replace(
-                    selection, survivors=survivors, skipped=skipped
-                )
-                tier0_used = True
-                self.stats.tier0_screened += 1
-                self._emit(
-                    CostModelEvent(
-                        kernel=kernel.name,
-                        action="screened",
-                        k_eff=k_eff,
-                        agreement=agreement_now,
-                    )
-                )
         fastpath_seconds = time.perf_counter() - t0
 
         fresh = [t for t in sorted(selection.survivors) if t not in profile]
@@ -674,25 +545,6 @@ class EvaluationEngine:
                 degrade_into(profile)
 
         profile = dict(sorted(profile.items()))
-
-        if tier0_used:
-            # Score the model's predicted ordering against realized
-            # cycles; a verdict comes back only when this observation
-            # demoted the model (sticky — analytical from here on).
-            verdict = tier0.observe_profile(
-                kernel.name,
-                {t: r.cycles for t, r in profile.items() if not r.estimated},
-            )
-            if verdict is not None:
-                self.stats.tier0_demotions += 1
-                self._emit(
-                    CostModelEvent(
-                        kernel=kernel.name,
-                        action="demoted",
-                        agreement=verdict.rolling_agreement,
-                        reason=verdict.reason,
-                    )
-                )
 
         simulated = sum(1 for r in profile.values() if not r.estimated)
         skipped = max_tlp - len(profile)
@@ -820,8 +672,6 @@ def configure(
     checkpoint_dir: Optional[str] = None,
     cache_max_entries: Optional[int] = None,
     passes: Optional[str] = None,
-    costmodel: Optional[str] = None,
-    telemetry_dir: Optional[str] = None,
 ) -> EvaluationEngine:
     """Adjust the shared engine in place (the CLI's ``--jobs`` /
     ``--fastpath-topk`` / ``--task-timeout`` hook).  ``fastpath_topk=0``
@@ -865,15 +715,4 @@ def configure(
             # Normalized (and validated) before taking effect: a typo'd
             # spec must fail loudly, never silently tag cache keys.
             engine.pipeline = pipeline_signature(passes)
-        if costmodel is not None:
-            if costmodel:
-                # Import lazily: the model package costs numpy setup
-                # and most invocations never load an artifact.
-                from ..model.screen import load_screen
-
-                engine.set_costmodel(load_screen(costmodel))
-            else:
-                engine.set_costmodel(None)
-        if telemetry_dir is not None:
-            engine.telemetry_dir = telemetry_dir or None
         return engine

@@ -106,30 +106,6 @@ class FastPathEvent:
 
 
 @dataclasses.dataclass(frozen=True)
-class CostModelEvent:
-    """One learned tier-0 screen decision or state transition.
-
-    ``action`` is ``"screened"`` (the model picked this sweep's
-    survivors; ``k_eff`` is its shrunken budget), ``"declined"`` (the
-    model was active but its uncertainty gate let tier 1 decide),
-    ``"demoted"`` (the drift detector or a static check retired the
-    model to the analytical tier — ``reason`` says why; sticky until a
-    new artifact loads), or ``"loaded"`` (an artifact was installed,
-    including via the service's ``reload-model`` control job).
-    ``agreement`` is the detector's rolling rank agreement at the time
-    of the event.
-    """
-
-    kind: ClassVar[str] = "costmodel"
-
-    kernel: str
-    action: str
-    k_eff: int = 0
-    agreement: float = 1.0
-    reason: str = ""
-
-
-@dataclasses.dataclass(frozen=True)
 class FaultEvent:
     """One injected fault observed by the supervisor (test harness).
 
@@ -256,7 +232,6 @@ EngineEvent = Union[
     BatchSimEvent,
     StageEvent,
     FastPathEvent,
-    CostModelEvent,
     FaultEvent,
     RetryEvent,
     DegradeEvent,
@@ -288,9 +263,6 @@ class EngineStats:
     batched_groups: int = 0
     fastpath_scored: int = 0
     fastpath_skipped: int = 0
-    tier0_screened: int = 0
-    tier0_declined: int = 0
-    tier0_demotions: int = 0
     retries: int = 0
     timeouts: int = 0
     faults_injected: int = 0
@@ -347,12 +319,6 @@ class EngineStats:
             line += (
                 f", fast path skipped {self.fastpath_skipped}/"
                 f"{self.fastpath_scored} scored points"
-            )
-        if self.tier0_screened or self.tier0_demotions:
-            line += (
-                f", tier-0 screened {self.tier0_screened} sweeps "
-                f"({self.tier0_declined} declined, "
-                f"{self.tier0_demotions} demotions)"
             )
         if self.retries:
             line += f", {self.retries} retries ({self.timeouts} timeouts)"

@@ -50,10 +50,6 @@ simulated cycles on the calibration workloads (the resource-sensitive
 suite) — watched by the ``agreement`` field of every
 :class:`~repro.engine.events.FastPathEvent` and enforced by the
 differential tests.
-
-``FASTPATH_SCHEMA_VERSION`` names the scoring model's revision; it is
-folded into the simulation-cache schema key so on-disk results produced
-under a different scoring model never satisfy a lookup.
 """
 
 from __future__ import annotations
@@ -69,12 +65,6 @@ from ..arch.latency import MemoryCosts, measure_costs
 from ..arch.occupancy import compute_occupancy
 from ..ptx.module import Kernel
 from ..sim.stats import SimResult
-
-#: Revision of the analytical scoring model.  Bump whenever the score
-#: computed for a design point can change (new mimic extension, new
-#: calibration term...): the simulation cache folds this into its
-#: schema key, so stale on-disk rankings can never be replayed.
-FASTPATH_SCHEMA_VERSION = 1
 
 
 @dataclasses.dataclass(frozen=True)

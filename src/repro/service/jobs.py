@@ -94,11 +94,11 @@ class PreparedJob:
 def _sig(*parts: object) -> str:
     """Single-flight signature: ``sha256(schema tag, *parts)``.
 
-    The engine's cache schema tag is folded in first, so bumping *any*
-    result-affecting schema version (result layout, fastpath policy,
-    pipeline format, batch core, tier-0 cost model) also invalidates
-    in-flight dedup collisions — a job prepared under the old model
-    version can never be answered by a slot keyed under the new one.
+    The engine's cache schema tag is folded in first, so bumping any
+    version in it (result layout, simulator semantics, pipeline
+    format) also invalidates in-flight dedup collisions — a job
+    prepared under the old version can never be answered by a slot
+    keyed under the new one.
     """
     from ..engine.cache import cache_schema_version
 

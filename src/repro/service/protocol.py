@@ -55,12 +55,8 @@ EVAL_JOBS = ("crat", "simulate", "verify", "suite")
 #: cheap enough to poll sub-second.  ``handoff`` asks a shard to
 #: snapshot its queued jobs into the checkpoint journal and return a
 #: manifest of the journal files, so the fleet can replicate its warm
-#: state to the shard's ring successor.  ``reload-model`` hot-loads a
-#: (re)trained tier-0 cost-model artifact into the shared engine
-#: without a restart — the operator's path to recover from a drift
-#: demotion.
-CONTROL_JOBS = ("ping", "stats", "shutdown", "health", "handoff",
-                "reload-model")
+#: state to the shard's ring successor.
+CONTROL_JOBS = ("ping", "stats", "shutdown", "health", "handoff")
 JOB_TYPES = EVAL_JOBS + CONTROL_JOBS
 
 #: Per-job parameter schema: name -> (type, required).  ``params`` keys
@@ -106,9 +102,6 @@ PARAM_SCHEMAS: Dict[str, Dict[str, tuple]] = {
     },
     "health": {},
     "handoff": {},
-    "reload-model": {
-        "path": (str, False),
-    },
 }
 
 

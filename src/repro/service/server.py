@@ -119,7 +119,6 @@ class ServiceStats:
         self.drained = 0
         self.executed = 0
         self.connections = 0
-        self.model_reloads = 0
         self._latency: Dict[str, deque] = {}
         self._queue_latency: Dict[str, deque] = {}
 
@@ -166,7 +165,6 @@ class ServiceStats:
                 "drained": self.drained,
                 "executed": self.executed,
                 "connections": self.connections,
-                "model_reloads": self.model_reloads,
                 "latency": latency,
             }
 
@@ -196,7 +194,6 @@ class ReproServer:
         checkpoint_dir: Optional[str] = None,
         shard_id: Optional[str] = None,
         shard_epoch: int = 0,
-        costmodel_path: Optional[str] = None,
     ):
         if host is not None:
             self._family = socket.AF_INET
@@ -223,9 +220,6 @@ class ReproServer:
         )
         self.shard_id = shard_id
         self.shard_epoch = shard_epoch
-        #: Path of the tier-0 model artifact installed at boot (if
-        #: any); the default a path-less ``reload-model`` re-reads.
-        self.costmodel_path = costmodel_path
         #: Set by an injected ``shard-hang`` fault: the control plane
         #: (ping/health) stalls so the fleet's heartbeat deadline trips.
         self._hung = False
@@ -339,7 +333,6 @@ class ReproServer:
         if drain:
             self._checkpoint_jobs(pending)
         for job in pending:
-            self.stats.bump("drained", len(job.waiters))
             self._emit_request(job, "drained", deduped=False)
             self._inflight.complete(job, "drained")
         for thread in self._threads:
@@ -609,8 +602,6 @@ class ReproServer:
             return ok_reply(request.id, self.stats_payload(
                 include_events=bool(request.params.get("include_events"))
             ))
-        if request.job == "reload-model":
-            return self._handle_reload_model(request)
         # shutdown: acknowledge first, then drain from a fresh thread so
         # the reply reaches the client before the connection dies.
         drain = request.params.get("drain", True)
@@ -618,41 +609,6 @@ class ReproServer:
             target=self.shutdown, kwargs={"drain": drain}, daemon=True
         ).start()
         return ok_reply(request.id, {"shutting_down": True, "drain": drain})
-
-    def _handle_reload_model(self, request: Request) -> Dict[str, Any]:
-        """Hot-load a tier-0 model artifact into the shared engine.
-
-        An operator control job: ``params.path`` names the artifact on
-        the *server's* filesystem (defaulting to the path the daemon
-        booted with), and a load failure — corrupted, legacy, foreign
-        schema — is a typed error reply, never a half-installed model.
-        An empty ``path`` with no boot-time default clears nothing; it
-        is an error, so a typo'd reload cannot silently disable a
-        working screen.
-        """
-        path = request.params.get("path") or self.costmodel_path
-        if not path:
-            return error_reply(
-                request.id, "ServiceError",
-                "reload-model needs params.path (no model was "
-                "configured at boot)", 7,
-            )
-        try:
-            from ..model.screen import load_screen
-
-            screen = load_screen(str(path))
-        except ReproError as err:
-            return error_reply(
-                request.id, err.kind, str(err), err.exit_code
-            )
-        self.engine.set_costmodel(screen)
-        self.costmodel_path = str(path)
-        self.stats.bump("model_reloads")
-        return ok_reply(request.id, {
-            "reloaded": True,
-            "model": str(path),
-            **{str(k): v for k, v in screen.summary().items()},
-        })
 
     def _retry_after_hint(self) -> float:
         """Estimate when a queue slot frees: depth x recent mean job
@@ -696,16 +652,27 @@ class ReproServer:
             return expired_reply(request.id)
         status, payload = job.outcome  # type: ignore[misc]
         self._emit_request(job, status, deduped=not created)
+        # Each accepted waiter counts the one reply it gets, so
+        # ``accepted == completed + expired + drained`` holds however
+        # many waiters a job has (``executed`` counts jobs).
         if status == "ok":
+            self.stats.bump("completed")
             reply: Dict[str, Any] = ok_reply(request.id, payload)
         elif status == "error":
+            self.stats.bump("completed")
             kind, message, exit_code = payload
             reply = error_reply(request.id, kind, message, exit_code)
         elif status == "overloaded":
+            # Attached to a job the full queue then refused: the
+            # waiter was never really accepted.
+            self.stats.bump("accepted", -1)
+            self.stats.bump("rejected_overloaded")
             reply = overloaded_reply(request.id, payload or 1.0)
         elif status == "expired":
+            self.stats.bump("expired")
             reply = expired_reply(request.id)
         else:
+            self.stats.bump("drained")
             reply = drained_reply(request.id)
         if self.shard_id is not None and faults.shard_net_drop(
             self._fault_token(prepared.signature, request.attempt)
@@ -774,7 +741,6 @@ class ReproServer:
                 (classified.kind, str(classified), classified.exit_code),
             )
             return
-        self.stats.bump("completed")
         self.stats.bump("executed")
         done = time.monotonic()
         self.stats.observe_latency(
@@ -848,7 +814,6 @@ def serve_main(
     queue_limit: int = 64,
     log_interval: float = 30.0,
     log_stream: Optional[TextIO] = None,
-    costmodel_path: Optional[str] = None,
 ) -> int:
     """Blocking entry point used by ``repro serve``: boot, announce,
     install SIGTERM/SIGINT drain handlers, run until stopped.
@@ -873,7 +838,6 @@ def serve_main(
         log_interval=log_interval,
         shard_id=shard_id,
         shard_epoch=shard_epoch,
-        costmodel_path=costmodel_path,
     )
     server.start()
 

@@ -6,7 +6,7 @@ L2 slice, a DRAM bandwidth model, and a GPUWattch-style energy model.
 """
 
 from .batch import (
-    BATCH_SCHEMA_VERSION,
+    SIM_SEMANTICS_VERSION,
     BatchedSimulator,
     PackedGrid,
     simulate_traces_batched,
@@ -28,7 +28,7 @@ from .sm import SMSimulator
 from .stats import SimResult
 
 __all__ = [
-    "BATCH_SCHEMA_VERSION",
+    "SIM_SEMANTICS_VERSION",
     "BatchedSimulator",
     "BlockExecutor",
     "BlockMemory",

@@ -39,9 +39,10 @@ independent, so chunked lockstep interleaving is exact by construction
 — the differential gate (``tools/batch_sim_gate.py``) and the property
 tests hold it to zero drift against the scalar oracle.
 
-Schema: :data:`BATCH_SCHEMA_VERSION` is folded into the engine's
-simulation-cache keys, so results produced before/after a change in the
-batched core's semantics can never alias.
+Schema: the packed core is the only production core, so
+:data:`SIM_SEMANTICS_VERSION` names the simulator's semantics.  It is
+folded into the engine's simulation-cache keys, so results produced
+before/after a change in those semantics can never alias.
 """
 
 from __future__ import annotations
@@ -60,10 +61,11 @@ from .executor import BlockTrace
 from .sm import make_l2_slice_config
 from .stats import SimResult
 
-#: Revision of the batched core's semantics; folded into engine cache
-#: keys (see :func:`repro.engine.cache.cache_schema_version`) so a
-#: change here invalidates previously cached results wholesale.
-BATCH_SCHEMA_VERSION = 1
+#: Revision of the simulator's semantics (the packed core is the only
+#: production core); folded into engine cache keys (see
+#: :func:`repro.engine.cache.cache_schema_version`) so a change here
+#: invalidates previously cached results wholesale.
+SIM_SEMANTICS_VERSION = 1
 
 # Packed op kind codes.
 _COMPUTE = 0

@@ -66,6 +66,28 @@ class TestBatchFlags:
             assert exc.value.code == 2
             assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["crat", "GAU", "--costmodel", "m.json"], "--costmodel"),
+            (["suite", "--telemetry-dir", "d"], "--telemetry-dir"),
+            (["bench", "--costmodel"], "--costmodel"),
+            (["lint", "examples/spmv.ptx", "--features-json", "p"],
+             "--features-json"),
+            (["model", "info", "x"], "model"),
+            (["corpus", "stats", "x"], "corpus"),
+        ],
+    )
+    def test_removed_cost_model_surface_is_a_usage_error(
+        self, argv, named, capsys
+    ):
+        # The learned screen, its telemetry and its feature vector are
+        # gone: every flag and command they had must be refused.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+
     def test_bench_batchsim_records_ledger(self, tmp_path, capsys):
         import json
 

@@ -120,22 +120,21 @@ class TestCaching:
 
 
 class TestSchemaVersioning:
-    """Cache keys carry a schema tag covering the fast-path scoring
-    version, so results produced under a different scoring model can
-    never satisfy a lookup."""
+    """Cache keys carry a schema tag built from exactly what decides a
+    result — the result layout, the simulator's semantics and the pass
+    pipeline — so a change to any of them misses, and nothing else
+    does."""
 
     def test_schema_tag_covers_all_versions(self):
-        from repro.engine import FASTPATH_SCHEMA_VERSION, cache_schema_version
+        from repro.engine import cache_schema_version
         from repro.engine.cache import RESULT_SCHEMA_VERSION
         from repro.ir import PIPELINE_SCHEMA_VERSION
-        from repro.model.artifact import MODEL_SCHEMA_VERSION
-        from repro.sim.batch import BATCH_SCHEMA_VERSION
+        from repro.sim.batch import SIM_SEMANTICS_VERSION
 
         tag = cache_schema_version()
         assert tag == (
-            f"r{RESULT_SCHEMA_VERSION}.fp{FASTPATH_SCHEMA_VERSION}"
-            f".pp{PIPELINE_SCHEMA_VERSION}.b{BATCH_SCHEMA_VERSION}"
-            f".m{MODEL_SCHEMA_VERSION}"
+            f"r{RESULT_SCHEMA_VERSION}.s{SIM_SEMANTICS_VERSION}"
+            f".pp{PIPELINE_SCHEMA_VERSION}"
         )
 
     def test_key_leads_with_schema_tag(self, gau):
@@ -146,12 +145,36 @@ class TestSchemaVersioning:
         )
         assert key[0] == cache_schema_version()
 
-    def test_fastpath_version_bump_misses_disk_cache(
+    def test_fastpath_change_still_hits_disk_cache(self, gau, tmp_path):
+        """A screen only chooses which points get simulated, never what
+        a simulated point's result is: a sweep under a different
+        fast-path policy is served from the exhaustive sweep's
+        persisted entries, bit-identically."""
+        from repro.engine import FastPathPolicy
+
+        first = EvaluationEngine(jobs=1, disk_cache=str(tmp_path))
+        exact = first.profile_tlp(gau.kernel, FERMI, 4, grid_blocks=4,
+                                  param_sizes=gau.param_sizes)
+        assert first.stats.sim_misses == 4
+
+        screened = EvaluationEngine(
+            jobs=1, disk_cache=str(tmp_path),
+            fastpath=FastPathPolicy(top_k=1),
+        )
+        fast = screened.profile_tlp(gau.kernel, FERMI, 4, grid_blocks=4,
+                                    param_sizes=gau.param_sizes)
+        assert screened.stats.fastpath_scored == 4
+        assert screened.stats.sim_misses == 0
+        assert screened.stats.disk_hits == len(fast) > 0
+        assert all(fast[t] == exact[t] for t in fast)
+
+    def test_sim_semantics_bump_misses_disk_cache(
         self, gau, tmp_path, monkeypatch
     ):
-        """A fast-path scoring revision invalidates persisted results
-        wholesale: the same design point re-simulates under the bumped
-        version instead of trusting entries scored by the old model."""
+        """A revision of the simulator's semantics
+        (``SIM_SEMANTICS_VERSION``) invalidates persisted results
+        wholesale: the same design point re-simulates instead of
+        trusting entries the old simulator produced."""
         first = EvaluationEngine(jobs=1, disk_cache=str(tmp_path))
         first.simulate(gau.kernel, FERMI, 2, grid_blocks=4,
                        param_sizes=gau.param_sizes)
@@ -161,8 +184,8 @@ class TestSchemaVersioning:
         import repro.engine.cache as cache_mod
 
         monkeypatch.setattr(
-            cache_mod, "FASTPATH_SCHEMA_VERSION",
-            cache_mod.FASTPATH_SCHEMA_VERSION + 1,
+            cache_mod, "SIM_SEMANTICS_VERSION",
+            cache_mod.SIM_SEMANTICS_VERSION + 1,
         )
         bumped = EvaluationEngine(jobs=1, disk_cache=str(tmp_path))
         bumped.simulate(gau.kernel, FERMI, 2, grid_blocks=4,
@@ -181,7 +204,7 @@ class TestSchemaVersioning:
     def test_pipeline_version_bump_misses_disk_cache(
         self, gau, tmp_path, monkeypatch
     ):
-        """Mirrors the fast-path bump: a pass-semantics revision
+        """Mirrors the sim-semantics bump: a pass-semantics revision
         (``PIPELINE_SCHEMA_VERSION``) invalidates persisted results
         wholesale instead of serving entries produced by passes that no
         longer generate the same kernels."""
@@ -196,39 +219,6 @@ class TestSchemaVersioning:
         monkeypatch.setattr(
             cache_mod, "PIPELINE_SCHEMA_VERSION",
             cache_mod.PIPELINE_SCHEMA_VERSION + 1,
-        )
-        bumped = EvaluationEngine(jobs=1, disk_cache=str(tmp_path))
-        bumped.simulate(gau.kernel, FERMI, 2, grid_blocks=4,
-                        param_sizes=gau.param_sizes)
-        assert bumped.stats.sim_misses == 1
-        assert bumped.stats.disk_hits == 0
-
-        monkeypatch.undo()
-        third = EvaluationEngine(jobs=1, disk_cache=str(tmp_path))
-        third.simulate(gau.kernel, FERMI, 2, grid_blocks=4,
-                       param_sizes=gau.param_sizes)
-        assert third.stats.sim_misses == 0
-        assert third.stats.disk_hits == 1
-
-    def test_model_version_bump_misses_disk_cache(
-        self, gau, tmp_path, monkeypatch
-    ):
-        """Mirrors the fast-path bump: a learned-cost-model revision
-        (``MODEL_SCHEMA_VERSION``) invalidates persisted results
-        wholesale — a tier-0 screen with revised prediction semantics
-        decided *which* points ever got simulated, so entries from the
-        old revision are never trusted."""
-        first = EvaluationEngine(jobs=1, disk_cache=str(tmp_path))
-        first.simulate(gau.kernel, FERMI, 2, grid_blocks=4,
-                       param_sizes=gau.param_sizes)
-        assert first.stats.sim_misses == 1
-        assert list(tmp_path.glob("sim-*.pkl"))
-
-        import repro.engine.cache as cache_mod
-
-        monkeypatch.setattr(
-            cache_mod, "MODEL_SCHEMA_VERSION",
-            cache_mod.MODEL_SCHEMA_VERSION + 1,
         )
         bumped = EvaluationEngine(jobs=1, disk_cache=str(tmp_path))
         bumped.simulate(gau.kernel, FERMI, 2, grid_blocks=4,

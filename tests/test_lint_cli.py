@@ -89,16 +89,6 @@ class TestOutputFormats:
         payload = json.loads(capsys.readouterr().out)
         assert payload["rules"] == ["LNT405"]
 
-    def test_features_json(self, tmp_path, capsys):
-        out = tmp_path / "features.json"
-        assert main(
-            ["lint", example("spmv.ptx"), "--features-json", str(out)]
-        ) == EXIT_OK
-        payload = json.loads(out.read_text())
-        assert payload["schema_version"] == 1
-        assert payload["kernel"] == "spmv_jds"
-        assert payload["features"]["maxlive_slots"] == 34.0
-
 
 class TestLintFlagOnCommands:
     def test_simulate_lint_gate_blocks_error_findings(self, capsys):

@@ -14,11 +14,14 @@ in total slots.
 import os
 
 import pytest
+from hypothesis import given, settings
 
 from repro.cfg import CFG, LivenessInfo
 from repro.cfg.liveness import iter_interference_sites
 from repro.ptx import RegClass, parse_kernel
 from repro.workloads import full_suite, load_workload
+
+from .test_properties import kernel_strategy
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
 APPS = sorted(w.abbr for w in full_suite())
@@ -82,3 +85,34 @@ def test_interference_sites_cover_every_position(target):
     for site in sites:
         assert site.inst is liveness.instructions[site.pos]
         assert site.live_out == liveness.live_out[site.pos]
+
+
+def inline_maxlive(kernel):
+    """Independent MaxLive oracle: the pre-consolidation per-position
+    walk, reimplemented from scratch (slots of live-out plus defs)."""
+    liveness = LivenessInfo(kernel)
+    peak = 0
+    for pos, inst in enumerate(liveness.instructions):
+        live = set(liveness.live_out[pos])
+        live.update(r.name for r in inst.defs())
+        slots = sum(
+            liveness.dtype_of[name].reg_class.slots for name in live
+        )
+        peak = max(peak, slots)
+    return peak
+
+
+class TestMaxLiveAgreement:
+    @settings(max_examples=40, deadline=None)
+    @given(kernel_strategy())
+    def test_static_profile_max_equals_allocator_maxlive(self, kernel):
+        liveness = LivenessInfo(kernel)
+        profile = liveness.pressure_profile()
+        oracle = inline_maxlive(kernel)
+        assert max(profile, default=0) == oracle
+        assert liveness.max_pressure() == oracle
+
+    @pytest.mark.parametrize("name", EXAMPLES)
+    def test_agreement_on_example_corpus(self, name):
+        kernel = corpus_kernel(name)
+        assert LivenessInfo(kernel).max_pressure() == inline_maxlive(kernel)

@@ -117,6 +117,17 @@ class TestBasics:
             # The connection survives a schema rejection.
             assert client.ping()
 
+    def test_reload_model_is_invalid_and_daemon_survives(self, server):
+        # The learned-screen control job is gone: a typed rejection,
+        # not a crash, and the daemon keeps serving.
+        with make_client(server) as client:
+            reply = client.request_once("reload-model", {"path": "m.json"})
+            assert reply["status"] == "invalid"
+            assert reply["error"]["kind"] == "ProtocolError"
+            assert "reload-model" in reply["error"]["message"]
+            assert client.ping()
+            assert submit_or_raise(client, "simulate", SIM_GAU)["cycles"] > 0
+
     def test_raw_garbage_line_rejected(self, server):
         import socket as socket_mod
 
@@ -194,8 +205,9 @@ class TestSingleFlight:
         assert len(results) == n
         assert all(r == results[0] for r in results)
         stats = server.stats.to_dict()
+        # One execution, but every waiter got its own answer.
         assert stats["executed"] == 1
-        assert stats["completed"] == 1
+        assert stats["completed"] == n
         # The engine agrees: one batch of simulations, not six.
         assert fresh_engine.stats.simulations == 1
 
@@ -324,6 +336,100 @@ class TestDeadlines:
         # The abandoned job must not poison the worker loop.
         with make_client(server) as client:
             assert client.ping()
+
+
+class TestConservation:
+    def test_law_holds_under_dedup_error_expiry_and_drain(
+        self, tmp_path, fresh_engine, monkeypatch
+    ):
+        """``accepted == completed + expired + drained`` (DESIGN.md
+        section 7): every accepted waiter is counted once, by the reply
+        it gets, however many waiters share one job."""
+        from repro.service import jobs as jobs_mod
+
+        def broken(prepared):
+            raise RuntimeError("injected job failure")
+
+        monkeypatch.setitem(jobs_mod._HANDLERS, "verify", broken)
+        server = ReproServer(
+            socket_path=str(tmp_path / "law.sock"),
+            engine=fresh_engine,
+            workers=1,
+            queue_limit=8,
+            checkpoint_dir=str(tmp_path / "ckpt"),
+        )
+        server.start()
+        replies = []
+        lock = threading.Lock()
+
+        def submit(job, params):
+            with make_client(server) as client:
+                reply = client.request_once(job, params)
+            with lock:
+                replies.append(reply)
+
+        def run_all(calls, accepted):
+            threads = [
+                threading.Thread(target=submit, args=call) for call in calls
+            ]
+            for t in threads:
+                t.start()
+            assert _wait_until(
+                lambda: server.stats.to_dict()["accepted"] == accepted
+            ), server.stats.to_dict()
+            return threads
+
+        def law_holds():
+            s = server.stats.to_dict()
+            return s["accepted"] == s["completed"] + s["expired"] + s["drained"]
+
+        try:
+            # n deduplicated waiters on one job plus one erroring job.
+            n = 4
+            server.pause_workers()
+            threads = run_all(
+                [("simulate", SIM_GAU)] * n + [("verify", {"target": "GAU"})],
+                accepted=n + 1,
+            )
+            server.resume_workers()
+            for t in threads:
+                t.join(timeout=30.0)
+            assert sorted(r["status"] for r in replies) == ["error"] + ["ok"] * n
+            stats = server.stats.to_dict()
+            assert stats["executed"] == 2
+            assert stats["dedup_hits"] == n - 1
+            assert stats["completed"] == n + 1
+            assert law_holds(), stats
+
+            # An expired waiter: its job stays queued behind the pause.
+            server.pause_workers()
+            with make_client(server) as client:
+                reply = client.request_once(
+                    "simulate", {"target": "GAU", "tlp": 5}, deadline=0.3
+                )
+            assert reply["status"] == "expired"
+            assert server.stats.to_dict()["expired"] == 1
+            assert law_holds(), server.stats.to_dict()
+
+            # A drain: two queued jobs with live waiters, plus the job
+            # whose only waiter already expired (counted once, as
+            # expired, not again as drained).
+            del replies[:]
+            threads = run_all(
+                [("simulate", {"target": "GAU", "tlp": t}) for t in (1, 3)],
+                accepted=n + 4,
+            )
+            server.shutdown(drain=True)
+            for t in threads:
+                t.join(timeout=30.0)
+            assert [r["status"] for r in replies] == ["drained"] * 2
+            stats = server.stats.to_dict()
+            assert stats["drained"] == 2
+            assert stats["completed"] == n + 1
+            assert stats["expired"] == 1
+            assert law_holds(), stats
+        finally:
+            server.shutdown(drain=False)
 
 
 class TestDrain:
